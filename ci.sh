@@ -29,8 +29,9 @@
 #   ./ci.sh net        # ASan build + net label, then a TSan loopback round
 #   ./ci.sh net-chaos  # ASan server-kill harness + TSan reconnect/backoff
 #   ./ci.sh shard      # ASan build + shard label + sharded crash kill-points
-#   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
-#                      # Byzantine chaos suite under TSan
+#   ./ci.sh defense    # defense + robust-aggregation labels and the net
+#                      # aggregator tests under ASan/UBSan, Byzantine chaos
+#                      # suite under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
 #                      # blocked-vs-naive floors for both dtypes + the fp32
@@ -168,15 +169,20 @@ run_defense() {
   # Robustness stage: the defense stack rewrites gradient payloads in place
   # and the audit gate throws across the round engines' parallel regions —
   # ASan/UBSan territory for the tensor rewrites, with the robust-aggregation
-  # property suite (order statistics over buffered cohorts) riding along.
+  # property suite (order statistics over buffered cohorts) riding along, and
+  # the socket server's aggregator tests (net_test NetAggregator.*: a
+  # norm-bounded loopback federation folded through the shared RoundFold,
+  # and the ConfigError refusal of buffering rules).
   # The Byzantine chaos suite then runs under TSan: sign-flip / blowup /
   # colluding cohorts push the engines through their refusal and exclusion
   # paths at 8 threads, exactly where a racy per-slot catch would surface.
   echo "==> [ci] Defense stage: defense + robust-aggregation under ASan/UBSan + Byzantine chaos under TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target defense_test property_test
+  cmake --build build-asan -j "${jobs}" --target defense_test property_test \
+    net_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L defense
   ./build-asan/tests/property_test --gtest_filter='RobustAggregation.*'
+  ./build-asan/tests/net_test --gtest_filter='NetAggregator.*'
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target defense_test
   ./build-tsan/tests/defense_test --gtest_filter='ByzantineChaos.*'

@@ -52,8 +52,8 @@
 // the reconnecting clients resolve their in-flight updates via the session-
 // resume handshake (see DESIGN.md §5j):
 //
-//   $ ./fl_training --listen 7400 --clients 4 --per-round 0 --rounds 20 \
-//                   --checkpoint-dir net-ckpts &
+//   $ ./fl_training --listen 7400 --clients 4 --per-round 0 --rounds 20
+//       --checkpoint-dir net-ckpts &          # (all on one command line)
 //   ... SIGKILL the server mid-round, then rerun the same command ...
 //
 // Million-scale federations run through the sharded streaming engine:
@@ -275,12 +275,12 @@ int main(int argc, char** argv) {
       throw ConfigError("--sampler must be hash or fy, got '" + sampler + "'");
     }
     shard_cfg.quorum_fraction = cli.get_real("quorum");
-    // The streaming engine refuses the buffering order-statistic
-    // aggregators at construction — fedavg/normbound only.
-    shard_cfg.aggregator = aggregator;
 
     auto pop_server =
         std::make_unique<fl::Server>(pop_cfg.factory(), /*learning_rate=*/0.15);
+    // The streaming engine refuses the buffering order-statistic
+    // aggregators at construction — fedavg/normbound only.
+    pop_server->set_aggregator(aggregator);
     fl::ShardedSimulation engine(std::move(pop_server),
                                  fl::VirtualPopulation(pop_cfg), shard_cfg);
     if (!defense_stack->empty()) engine.set_defense_stack(defense_stack);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace oasis::ckpt {
 
@@ -39,18 +40,11 @@ class SectionWriter {
   /// Bit-packed flag vector (u64 bit count + ceil(n/8) bytes, LSB-first).
   /// The sharded round engine stores its completed-shard bitmap this way so
   /// a mid-round snapshot of a million-shard round costs kilobytes.
-  void bitset(const std::vector<bool>& bits) {
-    u64(bits.size());
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i]) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        out_.push_back(acc);
-        acc = 0;
-      }
-    }
-    if (bits.size() % 8 != 0) out_.push_back(acc);
-  }
+  void bitset(const std::vector<bool>& bits);
+  /// A common::Rng stream position: 4 state words, the cached Box–Muller
+  /// spare, and its validity flag. Every engine snapshot stores its RNG
+  /// streams this way.
+  void rng(const common::Rng::State& s);
 
   [[nodiscard]] ByteBuffer take() { return std::move(out_); }
 
@@ -118,6 +112,8 @@ class SectionReader {
     off_ += nbytes;
     return bits;
   }
+
+  common::Rng::State rng();
 
   [[nodiscard]] std::size_t remaining() const { return in_.size() - off_; }
 

@@ -41,10 +41,7 @@ tensor::ByteBuffer encode_trainer_checkpoint(const TrainerConfig& config,
   builder.add("opt", tensor::serialize_tensors(optimizer.state_tensors()));
   {
     ckpt::SectionWriter w;
-    const common::Rng::State s = rng.state();
-    for (const auto word : s.words) w.u64(word);
-    w.f64(s.spare_normal);
-    w.u8(s.has_spare ? 1 : 0);
+    w.rng(rng.state());
     builder.add("rng", w.take());
   }
   {
@@ -76,10 +73,7 @@ TrainerState apply_trainer_checkpoint(const ckpt::Snapshot& snap,
   }
 
   ckpt::SectionReader rng_r(snap.section("rng"), "rng");
-  common::Rng::State rs;
-  for (auto& word : rs.words) word = rng_r.u64();
-  rs.spare_normal = rng_r.f64();
-  rs.has_spare = rng_r.u8() != 0;
+  const common::Rng::State rs = rng_r.rng();
   rng_r.expect_end();
 
   ckpt::SectionReader loss_r(snap.section("loss"), "loss");

@@ -2,11 +2,12 @@
 //
 // Aggregation is built on one primitive — FedAvgAccumulator — a fixed-size
 // streaming reducer that folds weighted client updates one at a time into a
-// single running partial sum. Both the batch fedavg() entry points used by
-// the materialized round path and the sharded million-client engine stream
-// through the SAME accumulator, which is what makes the two paths
-// bit-identical: the floating-point fold order is the order add() is called
-// in, nothing else. See DESIGN.md §5i for the determinism argument.
+// single running partial sum. The batch fedavg() entry points and
+// fl::RoundFold — the fold stage all three round engines share
+// (round_fold.h) — stream through the SAME accumulator, which is what makes
+// the engines bit-identical: the floating-point fold order is the order
+// add() is called in, nothing else. See DESIGN.md §5i for the determinism
+// argument.
 #pragma once
 
 #include <span>
@@ -92,9 +93,11 @@ std::vector<tensor::Tensor> fedavg_unweighted(
 // memory at any cohort size. Coordinate-wise median and trimmed mean are
 // per-coordinate ORDER STATISTICS — they need every accepted update resident
 // at once, so selecting them buys an f < n/2 breakdown point at a documented
-// O(cohort · model) memory cost. Server::finish_round buffers for them; the
-// sharded streaming engine refuses them at construction (ConfigError) because
-// buffering a million-client cohort would defeat its entire point.
+// O(cohort · model) memory cost. The rule is set on the Server only
+// (Server::set_aggregator) and fl::RoundFold applies it in every engine:
+// Server::finish_round buffers for the order statistics, while the two
+// streaming engines (sharded, socket) refuse them with ConfigError, since
+// they snapshot the fold mid-round and a buffered cohort has no such form.
 //
 // Both order-statistic aggregators are UNWEIGHTED (example counts are
 // attacker-controlled inputs, so weighting by them would hand back the very
@@ -102,7 +105,7 @@ std::vector<tensor::Tensor> fedavg_unweighted(
 // sorted per coordinate, so the fold order is a function of the values, not
 // of update arrival order.
 
-/// Which rule Server::finish_round aggregates accepted updates with.
+/// Which rule fl::RoundFold aggregates accepted updates with.
 enum class AggregatorKind : std::uint8_t {
   kFedAvg = 0,        // example-weighted mean (paper Eq. 1) — streaming
   kCoordinateMedian,  // per-coordinate median — buffers the cohort

@@ -8,7 +8,12 @@
 // counts), and numeric plausibility screens (NaN/Inf, gradient-norm band —
 // the server-side detectability angle of Carletti et al.). Rejected updates
 // are tallied per reason through oasis::obs counters and excluded from
-// FedAvg; the model advances over the valid subset only.
+// aggregation; the model advances over the valid subset only.
+//
+// The aggregation rule is set here, on the Server, and nowhere else:
+// finish_round and the two streaming engines (fl::ShardedSimulation,
+// net::FlServer) all fold through fl::RoundFold (round_fold.h), which reads
+// aggregator(). The streaming engines refuse the buffering rules.
 #pragma once
 
 #include <functional>
@@ -39,12 +44,6 @@ enum class RejectReason : std::uint8_t {
 };
 
 const char* to_string(RejectReason reason);
-
-/// Valid-update quorum for a cohort of `m` clients: ceil(fraction·m), at
-/// least 1 when fraction > 0; 0 disables the quorum. Shared by the
-/// in-process round engine (fl::Simulation) and the socket serving layer
-/// (net::FlServer) so both admission paths abort on the same threshold.
-index_t quorum_needed(real fraction, index_t m);
 
 /// Which screens finish_round() applies. Defaults keep every structural and
 /// protocol check on; the norm screen is opt-in because legitimate workloads
@@ -96,10 +95,11 @@ class Server {
   virtual GlobalModelMessage dispatch_to(std::uint64_t client_id);
 
   /// Validates the round's client updates, aggregates the accepted subset
-  /// with FedAvg, and advances the global model. Throws QuorumError — before
-  /// touching the model — when fewer than `min_valid` updates survive
-  /// validation; with zero valid updates (and min_valid == 0) the SGD step
-  /// is skipped rather than dividing by a zero example count.
+  /// under aggregator() (through fl::RoundFold), and advances the global
+  /// model. Throws QuorumError — before touching the model — when fewer than
+  /// `min_valid` updates survive validation; with zero valid updates (and
+  /// min_valid == 0) the SGD step is skipped rather than dividing by a zero
+  /// example count.
   virtual RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
                                     index_t min_valid);
 
@@ -110,11 +110,11 @@ class Server {
 
   // --- Streaming round surface (the sharded engine's path) -----------------
   //
-  // finish_round() is a thin composition of these three calls; the sharded
-  // engine invokes them directly so a round over 1M virtual clients never
-  // materializes an update span. Screening semantics and obs tallies are
-  // IDENTICAL between the two paths — that is what the differential shard
-  // tests prove byte-for-byte.
+  // fl::RoundFold composes these calls for every engine: finish_round()
+  // feeds it a materialized span, the sharded engine streams a round over
+  // 1M virtual clients through it one shard at a time. Screening semantics
+  // and obs tallies are IDENTICAL between the paths — that is what the
+  // differential shard tests prove byte-for-byte.
 
   /// Fresh per-round screening context (caches the model's parameter
   /// shapes). Create once per round, pass to every screen_update() call.
@@ -128,8 +128,7 @@ class Server {
                              UpdateScreen& screen);
 
   /// Applies an aggregated average (SGD step w ← w − η·Ḡ) and advances the
-  /// protocol round. The streaming engine calls this after its reducer
-  /// finishes; finish_round() calls it with the batch fedavg() result.
+  /// protocol round. Called by RoundFold::commit.
   void commit_round(const std::vector<tensor::Tensor>& average);
 
   /// Advances the protocol round without touching the model (zero valid
@@ -141,10 +140,13 @@ class Server {
     return validation_;
   }
 
-  /// Selects the aggregation rule finish_round applies to accepted updates.
-  /// kFedAvg/kNormBounded stream; kCoordinateMedian/kTrimmedMean buffer the
-  /// accepted cohort (O(cohort · model) memory — see aggregation.h). Throws
-  /// ConfigError on an invalid trim_fraction or non-positive norm bound.
+  /// Selects the aggregation rule every engine applies to this server's
+  /// accepted updates. kFedAvg/kNormBounded stream; kCoordinateMedian/
+  /// kTrimmedMean buffer the accepted cohort (O(cohort · model) memory — see
+  /// aggregation.h), so only finish_round accepts them: the sharded and
+  /// socket engines throw ConfigError for them before any client trains.
+  /// Throws ConfigError on an invalid trim_fraction or non-positive norm
+  /// bound.
   void set_aggregator(const AggregatorConfig& config);
   [[nodiscard]] const AggregatorConfig& aggregator() const {
     return aggregator_;
@@ -154,21 +156,10 @@ class Server {
   nn::Sequential& global_model() { return *model_; }
 
   /// Sets the protocol round id to an absolute value. Checkpoint restore
-  /// only — the round id normally advances exclusively via finish_round.
+  /// only — the round id normally advances exclusively via commit_round.
   void restore_round(std::uint64_t round) { round_ = round; }
 
  protected:
-  /// The validation pipeline: per-update accept/reject with obs tallies
-  /// (fl.validate.accepted / fl.validate.reject.<reason>).
-  [[nodiscard]] RoundOutcome validate_updates(
-      std::span<const ClientUpdateMessage> updates);
-
-  /// Aggregates the accepted subset under a non-FedAvg aggregator (see
-  /// set_aggregator). Requires outcome.accepted > 0.
-  [[nodiscard]] std::vector<tensor::Tensor> aggregate_robust(
-      std::span<const ClientUpdateMessage> updates,
-      const RoundOutcome& outcome);
-
   std::unique_ptr<nn::Sequential> model_;
   real learning_rate_;
   ValidationConfig validation_;

@@ -2,11 +2,11 @@
 
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
+#include "ckpt/model_section.h"
 #include "ckpt/obs_state.h"
+#include "fl/client_stage.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "runtime/parallel.h"
-#include "tensor/serialize.h"
 
 namespace oasis::fl {
 
@@ -32,20 +32,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
-}
-
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(s.spare_normal);
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = r.f64();
-  s.has_spare = r.u8() != 0;
-  return s;
 }
 
 }  // namespace
@@ -86,7 +72,7 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
       population_(std::move(population)),
       config_(config),
       rng_(config.seed),
-      accumulator_(config.weight_by_examples) {
+      fold_(*server_) {
   OASIS_CHECK(server_ != nullptr);
   if (config_.shard_size == 0) {
     throw ConfigError("shard_size must be >= 1");
@@ -99,59 +85,45 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
   if (config_.quorum_fraction < 0.0 || config_.quorum_fraction > 1.0) {
     throw ConfigError("quorum_fraction outside [0, 1]");
   }
-  if (config_.aggregator.kind == AggregatorKind::kCoordinateMedian ||
-      config_.aggregator.kind == AggregatorKind::kTrimmedMean) {
-    throw ConfigError(
-        std::string(to_string(config_.aggregator.kind)) +
-        " buffers the whole cohort, which contradicts the sharded engine's "
-        "O(shard) memory contract — use fl::Simulation for order-statistic "
-        "aggregation, or kNormBounded for a streaming-compatible defense");
+  RoundFold::require_streaming(*server_);
+}
+
+index_t ShardedSimulation::derive_cohort(common::Rng& selection) {
+  const index_t target = config_.cohort_size == 0 ? population_.size()
+                                                  : config_.cohort_size;
+  // The defense mask stage needs the cohort id list; nothing else does.
+  const bool collect = defense_ && defense_->requires_cohort();
+  defense_cohort_.clear();
+  if (config_.sampler == CohortSampler::kFisherYates) {
+    cohort_ids_ = selection.sample_without_replacement(population_.size(),
+                                                       target);
+    if (collect) defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
+    return target;
   }
-  if (config_.aggregator.kind == AggregatorKind::kNormBounded &&
-      config_.aggregator.norm_bound <= 0.0) {
-    throw ConfigError("norm_bound must be > 0");
+  // Pre-count the actual (binomial) cohort so quorum math and the shard
+  // count are fixed before the first shard runs — ~ns per hash, and the
+  // scan keeps no per-client state beyond the optional mask list.
+  threshold_ = cohort_threshold(target, population_.size());
+  index_t count = 0;
+  for (index_t id = 0; id < population_.size(); ++id) {
+    if (cohort_member(config_.seed, ticket_, id, threshold_)) {
+      ++count;
+      if (collect) defense_cohort_.push_back(id);
+    }
   }
+  return count;
 }
 
 void ShardedSimulation::begin_round_state() {
   rng_at_round_start_ = rng_.state();
   ticket_ = round_tickets_++;
-  const index_t target = config_.cohort_size == 0 ? population_.size()
-                                                  : config_.cohort_size;
-  if (config_.sampler == CohortSampler::kFisherYates) {
-    cohort_ids_ = rng_.sample_without_replacement(population_.size(), target);
-    cohort_size_ = target;
-  } else {
-    threshold_ = cohort_threshold(target, population_.size());
-    // Pre-count the actual (binomial) cohort so quorum math and the shard
-    // count are fixed before the first shard runs — ~ns per hash, and the
-    // scan keeps no per-client state (unless the defense mask needs the
-    // cohort list, collected here for free during the scan).
-    const bool collect = defense_ && defense_->requires_cohort();
-    index_t count = 0;
-    for (index_t id = 0; id < population_.size(); ++id) {
-      if (cohort_member(config_.seed, ticket_, id, threshold_)) {
-        ++count;
-        if (collect) defense_cohort_.push_back(id);
-      }
-    }
-    cohort_size_ = count;
-    scan_pos_ = 0;
-  }
-  if (defense_ && defense_->requires_cohort() &&
-      config_.sampler == CohortSampler::kFisherYates) {
-    defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
-  }
+  cohort_size_ = derive_cohort(rng_);
   num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
   OASIS_CHECK_MSG(num_shards_ < kMaxShardsPerRound,
                   num_shards_ << " shards exceed the generation-numbering "
                                  "ceiling; raise shard_size");
+  // Everything else starts from clear_round_state()'s zeros.
   shard_done_.assign(num_shards_, false);
-  accumulator_.reset();
-  next_shard_ = 0;
-  clients_done_ = 0;
-  accepted_ = 0;
-  rejected_ = 0;
   mid_round_ = true;
   server_->begin_round();
 }
@@ -175,37 +147,10 @@ void ShardedSimulation::collect_shard_members(std::vector<std::uint64_t>& out) {
   }
 }
 
-void ShardedSimulation::fold_update(const ClientUpdateMessage& update,
-                                    UpdateScreen& screen) {
-  if (server_->screen_update(update, screen) != RejectReason::kAccepted) {
-    ++rejected_;
-    return;
-  }
-  if (config_.aggregator.kind == AggregatorKind::kNormBounded) {
-    // Streaming-compatible robustness: clip each accepted update to the
-    // norm ball before folding, same accumulator, same fold order.
-    auto grads = tensor::deserialize_tensors(update.gradients);
-    clip_gradients_to_norm(grads, config_.aggregator.norm_bound);
-    accumulator_.add(std::move(grads),
-                     config_.weight_by_examples
-                         ? static_cast<real>(update.num_examples)
-                         : real{1});
-  } else {
-    accumulator_.add(update);
-  }
-  ++accepted_;
-}
-
 void ShardedSimulation::process_shard() {
-  static obs::Counter& trained = obs::counter("fl.clients_trained");
   static obs::Counter& bytes_down = obs::counter("fl.bytes_dispatched");
-  static obs::Counter& bytes_up = obs::counter("fl.bytes_uploaded");
   static obs::Counter& dropouts = obs::counter("fl.fault.dropout");
   static obs::Counter& stragglers = obs::counter("fl.fault.straggler");
-  static obs::Counter& corrupted = obs::counter("fl.fault.corrupt");
-  static obs::Counter& poisoned = obs::counter("fl.fault.poison");
-  static obs::Counter& byzantine = obs::counter("fl.fault.byzantine");
-  static obs::Counter& duplicates = obs::counter("fl.fault.duplicate");
   static obs::Counter& lost_c = obs::counter("fl.clients_lost");
   static obs::Counter& shards_c = obs::counter("fl.shard.shards");
   static obs::Counter& shard_clients = obs::counter("fl.shard.clients");
@@ -217,18 +162,15 @@ void ShardedSimulation::process_shard() {
   // plan, but the (possibly stateful) server builds the payloads, and
   // dropouts must be decided before training so a dropped client never
   // trains — matching the materialized engine's counters.
-  struct Slot {
-    std::uint64_t id = 0;
-    ClientFault fault;
-    GlobalModelMessage msg;
-  };
-  std::vector<Slot> slots;
+  std::vector<ClientSlot> slots;
+  std::vector<GlobalModelMessage> dispatched;
   slots.reserve(members.size());
+  dispatched.reserve(members.size());
   index_t dropped = 0;
   {
     const obs::ScopedTimer dispatch_span("dispatch");
     for (const auto id : members) {
-      Slot s;
+      ClientSlot s;
       s.id = id;
       s.fault = fault_plan_.decide(ticket_, /*attempt=*/0, id);
       if (s.fault.kind == FaultKind::kDropout) {
@@ -239,46 +181,22 @@ void ShardedSimulation::process_shard() {
         continue;
       }
       if (s.fault.kind == FaultKind::kStraggler) stragglers.add(1);
-      s.msg = server_->dispatch_to(id);
-      bytes_down.add(s.msg.model_state.size());
+      dispatched.push_back(server_->dispatch_to(id));
+      bytes_down.add(dispatched.back().model_state.size());
       slots.push_back(std::move(s));
     }
   }
   if (dropped > 0) lost_c.add(dropped);
 
-  // Parallel training: clients are materialized lazily INSIDE the region
-  // (make_client is pure, so construction order cannot matter) and die with
-  // their chunk; updates land in fixed slots, so the fold below sees
-  // cohort order at any thread count.
-  std::vector<ClientUpdateMessage> updates(slots.size());
-  // Audit refusals recorded per slot inside the parallel region (no
-  // cross-region throw) and tallied serially below.
-  std::vector<std::uint8_t> refused(slots.size(), 0);
-  runtime::parallel_for(0, slots.size(), 1, [&](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      // kRoot: the span path must not depend on whether this chunk runs
-      // inline (threads=1) or on a pool worker.
-      const obs::ScopedTimer client_span("fl.client_round",
-                                         obs::ScopedTimer::kRoot);
-      const auto client = population_.make_client(slots[i].id);
-      try {
-        updates[i] = client->handle_round(slots[i].msg);
-      } catch (const AuditError&) {
-        // The client refused the dispatched model — excluded, not retried
-        // (single-attempt semantics anyway, and a re-audit re-refuses).
-        refused[i] = 1;
-        continue;
-      }
-      // Client-side defenses run where the client runs — after training,
-      // before the update crosses the (faulty) wire.
-      if (defense_ && !defense_->empty()) {
-        defense_->apply(updates[i], defense_cohort_);
-      }
-    }
-  });
-  index_t refusals = 0;
-  for (const auto f : refused) refusals += f;
-  trained.add(slots.size() - refusals);
+  // Clients are materialized lazily inside the parallel region (make_client
+  // is pure, so construction order cannot matter) and die with their chunk.
+  run_client_stage(
+      slots,
+      [&](index_t i) {
+        return population_.make_client(slots[i].id)->handle_round(
+            dispatched[i]);
+      },
+      defense_.get(), defense_cohort_, fault_plan_, ticket_, /*attempt=*/0);
 
   // Serial fold in cohort order — the determinism linchpin (see shard.h).
   // One screen per shard suffices: cohort member ids are distinct across
@@ -288,25 +206,9 @@ void ShardedSimulation::process_shard() {
   UpdateScreen screen = server_->begin_screen();
   {
     const obs::ScopedTimer agg_span("aggregate");
-    for (index_t i = 0; i < slots.size(); ++i) {
-      const Slot& s = slots[i];
-      if (refused[i]) {
-        // Refusal = no upload at all; the client still counts as disposed.
-        ++clients_done_;
-        if (client_hook_) client_hook_(s.id, clients_done_);
-        continue;
-      }
-      if (s.fault.kind == FaultKind::kCorrupt) corrupted.add(1);
-      if (s.fault.kind == FaultKind::kPoison) poisoned.add(1);
-      if (s.fault.kind == FaultKind::kByzantine) byzantine.add(1);
-      fault_plan_.apply(updates[i], s.fault, ticket_, /*attempt=*/0, s.id);
-      bytes_up.add(updates[i].gradients.size());
-      fold_update(updates[i], screen);
-      if (s.fault.kind == FaultKind::kCorrupt &&
-          s.fault.corruption == CorruptionKind::kDuplicate) {
-        duplicates.add(1);
-        fold_update(updates[i], screen);
-      }
+    for (const auto& s : slots) {
+      // A refusal posts nothing; the client still counts as disposed.
+      for (index_t k = 0; k < s.deliveries; ++k) fold_.offer(s.update, screen);
       ++clients_done_;
       if (client_hook_) client_hook_(s.id, clients_done_);
     }
@@ -335,15 +237,13 @@ void ShardedSimulation::clear_round_state() {
   defense_cohort_.clear();
   defense_cohort_.shrink_to_fit();
   shard_done_.clear();
-  accumulator_.reset();
+  fold_.reset();
   cohort_size_ = 0;
   num_shards_ = 0;
   next_shard_ = 0;
   scan_pos_ = 0;
   clients_done_ = 0;
   threshold_ = 0;
-  accepted_ = 0;
-  rejected_ = 0;
 }
 
 index_t ShardedSimulation::run_round() {
@@ -352,25 +252,19 @@ index_t ShardedSimulation::run_round() {
   static obs::Counter& shard_rounds = obs::counter("fl.shard.rounds");
   static obs::Counter& aborted = obs::counter("fl.rounds_aborted");
 
+  RoundFold::require_streaming(*server_);
   if (!mid_round_) begin_round_state();
   while (next_shard_ < num_shards_) process_shard();
 
   const index_t cohort = cohort_size_;
-  const index_t needed = quorum_needed(config_.quorum_fraction, cohort);
-  if (accepted_ < needed) {
-    // The aggregate only ever lived in the accumulator, so an abort needs
-    // no model rollback — dropping the round state IS the rollback.
-    const index_t valid = accepted_;
+  try {
+    fold_.commit(RoundFold::quorum_needed(config_.quorum_fraction, cohort));
+  } catch (const QuorumError&) {
+    // The aggregate only ever lived in the fold, so an abort needs no model
+    // rollback — dropping the round state IS the rollback.
     clear_round_state();
     aborted.add(1);
-    throw QuorumError("round " + std::to_string(server_->round()) + ": " +
-                      std::to_string(valid) + " valid updates < " +
-                      std::to_string(needed) + " required for quorum");
-  }
-  if (accepted_ == 0) {
-    server_->commit_skipped_round();
-  } else {
-    server_->commit_round(accumulator_.average());
+    throw;
   }
   clear_round_state();
   rounds.add(1);
@@ -417,7 +311,7 @@ tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
     meta.u64(config_.shard_size);
     meta.u8(static_cast<std::uint8_t>(config_.sampler));
     meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(config_.weight_by_examples ? 1 : 0);
+    meta.u8(1);  // weight-by-examples: the fold is always example-weighted
     meta.u8(mid_round_ ? 1 : 0);
     if (mid_round_) {
       meta.u64(ticket_);
@@ -426,24 +320,22 @@ tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
       meta.u64(next_shard_);
       meta.u64(scan_pos_);
       meta.u64(clients_done_);
-      meta.u64(accepted_);
-      meta.u64(rejected_);
+      meta.u64(fold_.accepted());
+      meta.u64(fold_.rejected());
     }
     builder.add("smeta", meta.take());
   }
   builder.add("model", nn::serialize_state(server_->global_model()));
   {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, rng_.state());
-    if (mid_round_) write_rng_state(rng, rng_at_round_start_);
+    rng.rng(rng_.state());
+    if (mid_round_) rng.rng(rng_at_round_start_);
     builder.add("srng", rng.take());
   }
   if (mid_round_) {
     ckpt::SectionWriter agg;
     agg.bitset(shard_done_);
-    agg.u64(accumulator_.count());
-    agg.f64(static_cast<double>(accumulator_.total_weight()));
-    agg.bytes(tensor::serialize_tensors(accumulator_.partials()));
+    fold_.encode(agg);
     builder.add("agg", agg.take());
   }
   builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
@@ -469,7 +361,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   const bool weighted = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
   std::uint64_t ticket = 0, cohort = 0, num_shards = 0, next_shard = 0;
-  std::uint64_t scan_pos = 0, clients_done = 0, accepted = 0, rejected = 0;
+  std::uint64_t scan_pos = 0, clients_done = 0, rejected = 0;
   if (mid) {
     ticket = meta.u64();
     cohort = meta.u64();
@@ -477,7 +369,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     next_shard = meta.u64();
     scan_pos = meta.u64();
     clients_done = meta.u64();
-    accepted = meta.u64();
+    meta.u64();  // accepted: the fold's own count, restored from "agg"
     rejected = meta.u64();
   }
   meta.expect_end();
@@ -486,7 +378,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
       shard_size != config_.shard_size ||
       sampler != static_cast<std::uint8_t>(config_.sampler) ||
       quorum != static_cast<double>(config_.quorum_fraction) ||
-      weighted != config_.weight_by_examples) {
+      !weighted) {
     throw CheckpointError(
         Reason::kStateMismatch,
         "snapshot belongs to a differently configured sharded federation "
@@ -504,21 +396,17 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   }
 
   ckpt::SectionReader rng(snap.section("srng"), "srng");
-  const common::Rng::State rng_now = read_rng_state(rng);
+  const common::Rng::State rng_now = rng.rng();
   common::Rng::State rng_start{};
-  if (mid) rng_start = read_rng_state(rng);
+  if (mid) rng_start = rng.rng();
   rng.expect_end();
 
   std::vector<bool> done_bits;
-  std::vector<tensor::Tensor> partials;
-  std::uint64_t acc_count = 0;
-  double acc_weight = 0.0;
+  RoundFold::Saved folded;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
     done_bits = agg.bitset();
-    acc_count = agg.u64();
-    acc_weight = agg.f64();
-    const ckpt::ByteBuffer partial_bytes = agg.bytes();
+    folded = RoundFold::decode(agg);
     agg.expect_end();
     if (done_bits.size() != num_shards) {
       throw CheckpointError(Reason::kStateMismatch,
@@ -535,28 +423,12 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
                               "next_shard implies");
       }
     }
-    try {
-      partials = tensor::deserialize_tensors(partial_bytes);
-    } catch (const Error& e) {
-      throw CheckpointError(
-          Reason::kMalformedSection,
-          std::string("accumulator partials failed to decode: ") + e.what());
-    }
   }
 
   const tensor::ByteBuffer& model_bytes = snap.section("model");
   const tensor::ByteBuffer& obs_bytes = snap.section("obs");
 
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(server_->global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(server_->global_model(), model_bytes);
   server_->restore_round(round);
   round_tickets_ = tickets;
   rng_.set_state(rng_now);
@@ -569,35 +441,13 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     next_shard_ = next_shard;
     scan_pos_ = scan_pos;
     clients_done_ = clients_done;
-    accepted_ = accepted;
-    rejected_ = rejected;
     shard_done_ = std::move(done_bits);
-    accumulator_.restore(std::move(partials), static_cast<real>(acc_weight),
-                         acc_count);
-    if (config_.sampler == CohortSampler::kFisherYates) {
-      // Re-derive the cohort by replaying the selection from the round-start
-      // RNG state; rng_ itself already holds the post-selection position.
-      common::Rng replay(0);
-      replay.set_state(rng_at_round_start_);
-      cohort_ids_ =
-          replay.sample_without_replacement(population_.size(), cohort_size_);
-      if (defense_ && defense_->requires_cohort()) {
-        defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
-      }
-    } else {
-      threshold_ = cohort_threshold(
-          config_.cohort_size == 0 ? population_.size() : config_.cohort_size,
-          population_.size());
-      if (defense_ && defense_->requires_cohort()) {
-        // Re-collect the cohort id list the mask stage needs — same pure
-        // membership scan begin_round_state ran before the crash.
-        for (index_t id = 0; id < population_.size(); ++id) {
-          if (cohort_member(config_.seed, ticket_, id, threshold_)) {
-            defense_cohort_.push_back(id);
-          }
-        }
-      }
-    }
+    fold_.restore(std::move(folded), rejected);
+    // Re-derive the cohort by replaying the selection from the round-start
+    // RNG state; rng_ itself already holds the post-selection position.
+    common::Rng replay(0);
+    replay.set_state(rng_at_round_start_);
+    derive_cohort(replay);
     // Rebuild the dispatch payload for the round in flight (honest-server
     // assumption: begin_round is idempotent given unchanged model state).
     server_->begin_round();

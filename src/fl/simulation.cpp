@@ -1,15 +1,16 @@
 #include "fl/simulation.h"
 
-#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
+#include "ckpt/model_section.h"
 #include "ckpt/obs_state.h"
+#include "fl/client_stage.h"
+#include "fl/round_fold.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "runtime/parallel.h"
 
 namespace oasis::fl {
 
@@ -45,15 +46,9 @@ Client& Simulation::client(index_t i) {
 std::vector<std::uint64_t> Simulation::run_round() {
   const obs::ScopedTimer round_span("fl.round");
   static obs::Counter& rounds = obs::counter("fl.rounds");
-  static obs::Counter& trained = obs::counter("fl.clients_trained");
   static obs::Counter& bytes_down = obs::counter("fl.bytes_dispatched");
-  static obs::Counter& bytes_up = obs::counter("fl.bytes_uploaded");
   static obs::Counter& dropouts = obs::counter("fl.fault.dropout");
   static obs::Counter& stragglers = obs::counter("fl.fault.straggler");
-  static obs::Counter& corrupted = obs::counter("fl.fault.corrupt");
-  static obs::Counter& poisoned = obs::counter("fl.fault.poison");
-  static obs::Counter& byzantine = obs::counter("fl.fault.byzantine");
-  static obs::Counter& duplicates = obs::counter("fl.fault.duplicate");
   static obs::Counter& timeouts = obs::counter("fl.timeouts");
   static obs::Counter& retries = obs::counter("fl.retries");
   static obs::Counter& lost_c = obs::counter("fl.clients_lost");
@@ -86,14 +81,10 @@ std::vector<std::uint64_t> Simulation::run_round() {
   }
 
   // Collection: bounded attempts against per-client deadlines in virtual
-  // time. Faults are decided serially (pure functions of the plan), only the
-  // training fans out — each responder touches its own model replica, rng,
-  // and dataset shard, and updates land at a fixed slot, so collection order
-  // (and therefore aggregation) is identical at any thread count.
-  struct PendingReply {
-    index_t sel = 0;  // index into selected/dispatched
-    ClientFault fault;
-  };
+  // time. Faults are decided serially (pure functions of the plan); the
+  // shared client stage fans out only the training and posts deliveries in
+  // responder order, so collection order (and therefore aggregation) is
+  // identical at any thread count.
   std::vector<index_t> pending(m);
   for (index_t i = 0; i < m; ++i) pending[i] = i;
   std::vector<ClientUpdateMessage> collected;
@@ -107,12 +98,13 @@ std::vector<std::uint64_t> Simulation::run_round() {
     const auto t0 = clock_.now();
     const auto deadline = t0 + config_.deadline_ticks;
 
-    std::vector<PendingReply> responders;
+    std::vector<ClientSlot> responders;
+    std::vector<index_t> responder_sel;  // index into selected/dispatched
     std::vector<index_t> still_pending;
     runtime::VirtualClock::ticks last_arrival = t0;
     for (const auto i : pending) {
-      PendingReply r;
-      r.sel = i;
+      ClientSlot r;
+      r.id = ids[i];
       r.fault = fault_plan_.decide(ticket, attempt, ids[i]);
       if (r.fault.kind == FaultKind::kDropout) {
         dropouts.add(1);
@@ -128,54 +120,20 @@ std::vector<std::uint64_t> Simulation::run_round() {
         continue;
       }
       if (arrival > last_arrival) last_arrival = arrival;
-      responders.push_back(r);
+      responders.push_back(std::move(r));
+      responder_sel.push_back(i);
     }
 
-    std::vector<ClientUpdateMessage> updates(responders.size());
-    // Audit refusals recorded per slot inside the parallel region (no
-    // cross-region throw) and tallied serially below.
-    std::vector<std::uint8_t> refused(responders.size(), 0);
-    runtime::parallel_for(0, responders.size(), 1, [&](index_t i0,
-                                                       index_t i1) {
-      for (index_t i = i0; i < i1; ++i) {
-        // kRoot: the span path must not depend on whether this chunk runs
-        // inline (threads=1) or on a pool worker.
-        const obs::ScopedTimer client_span("fl.client_round",
-                                           obs::ScopedTimer::kRoot);
-        const index_t sel = responders[i].sel;
-        try {
-          updates[i] = clients_[selected[sel]]->handle_round(dispatched[sel]);
-        } catch (const AuditError&) {
-          // The client refused the dispatched model. Not a retry candidate:
-          // re-auditing the same model re-refuses deterministically.
-          refused[i] = 1;
-          continue;
-        }
-        // Client-side defenses run where the client runs — after training,
-        // before the update crosses the (faulty) wire.
-        if (defense_ && !defense_->empty()) defense_->apply(updates[i], ids);
-      }
-    });
-    index_t refusals = 0;
-    for (const auto f : refused) refusals += f;
-    trained.add(responders.size() - refusals);
-
-    // Deliver serially in responder order: wire faults mutate the payload
-    // between "upload" and "receipt", duplicates arrive back to back.
-    for (index_t i = 0; i < responders.size(); ++i) {
-      const auto& r = responders[i];
-      if (refused[i]) continue;  // refusal = no upload at all
-      if (r.fault.kind == FaultKind::kCorrupt) corrupted.add(1);
-      if (r.fault.kind == FaultKind::kPoison) poisoned.add(1);
-      if (r.fault.kind == FaultKind::kByzantine) byzantine.add(1);
-      fault_plan_.apply(updates[i], r.fault, ticket, attempt, ids[r.sel]);
-      bytes_up.add(updates[i].gradients.size());
-      collected.push_back(std::move(updates[i]));
-      if (r.fault.kind == FaultKind::kCorrupt &&
-          r.fault.corruption == CorruptionKind::kDuplicate) {
-        duplicates.add(1);
-        collected.push_back(collected.back());
-      }
+    run_client_stage(
+        responders,
+        [&](index_t slot) {
+          const index_t sel = responder_sel[slot];
+          return clients_[selected[sel]]->handle_round(dispatched[sel]);
+        },
+        defense_.get(), ids, fault_plan_, ticket, attempt);
+    for (auto& r : responders) {
+      if (r.deliveries == 2) collected.push_back(r.update);
+      if (r.deliveries > 0) collected.push_back(std::move(r.update));
     }
 
     pending = std::move(still_pending);
@@ -195,7 +153,7 @@ std::vector<std::uint64_t> Simulation::run_round() {
     }
   }
 
-  const index_t needed = quorum_needed(config_.quorum_fraction, m);
+  const index_t needed = RoundFold::quorum_needed(config_.quorum_fraction, m);
 
   // Snapshot only when the engine can actually abort or drop updates — the
   // honest path stays copy-free.
@@ -229,24 +187,6 @@ void Simulation::run(index_t rounds,
 
 // ---- Checkpoint / resume ----------------------------------------------------
 
-namespace {
-
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(s.spare_normal);
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = r.f64();
-  s.has_spare = r.u8() != 0;
-  return s;
-}
-
-}  // namespace
-
 tensor::ByteBuffer Simulation::encode_checkpoint() {
   // Counted BEFORE the obs capture so the snapshot records itself: a
   // straight-through run and a run resumed from this snapshot then agree on
@@ -270,11 +210,11 @@ tensor::ByteBuffer Simulation::encode_checkpoint() {
   builder.add("model", nn::serialize_state(server_->global_model()));
   {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, rng_.state());
+    rng.rng(rng_.state());
     rng.u32(static_cast<std::uint32_t>(clients_.size()));
     for (const auto& c : clients_) {
       rng.u64(c->id());
-      write_rng_state(rng, c->rng_state());
+      rng.rng(c->rng_state());
     }
     builder.add("rng", rng.take());
   }
@@ -308,7 +248,7 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   }
 
   ckpt::SectionReader rng(snap.section("rng"), "rng");
-  const common::Rng::State sim_rng = read_rng_state(rng);
+  const common::Rng::State sim_rng = rng.rng();
   const std::uint32_t rng_clients = rng.u32();
   if (rng_clients != clients_.size()) {
     throw CheckpointError(Reason::kStateMismatch,
@@ -322,7 +262,7 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   client_rngs.reserve(rng_clients);
   for (std::uint32_t i = 0; i < rng_clients; ++i) {
     const std::uint64_t id = rng.u64();
-    const common::Rng::State state = read_rng_state(rng);
+    const common::Rng::State state = rng.rng();
     const auto it = by_id.find(id);
     if (it == by_id.end()) {
       throw CheckpointError(Reason::kStateMismatch,
@@ -336,16 +276,7 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   const tensor::ByteBuffer& model_bytes = snap.section("model");
   const tensor::ByteBuffer& obs_bytes = snap.section("obs");
 
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(server_->global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(server_->global_model(), model_bytes);
   server_->restore_round(round);
   round_tickets_ = tickets;
   clock_.restore(clock_ticks);

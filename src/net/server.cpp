@@ -6,10 +6,10 @@
 #include <chrono>
 
 #include "ckpt/codec.h"
+#include "ckpt/model_section.h"
 #include "common/error.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "tensor/serialize.h"
 
 namespace oasis::net {
 
@@ -26,20 +26,6 @@ obs::Counter& frame_error_counter(NetError::Reason reason) {
 /// fold frontier f numbers t·2^20 + 1 + f — the shard engine's monotone
 /// numbering, so newest-first restore always lands on the latest progress.
 constexpr std::uint64_t kMaxFoldsPerRound = 1ULL << 20;
-
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(static_cast<double>(s.spare_normal));
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = static_cast<real>(r.f64());
-  s.has_spare = r.u8() != 0;
-  return s;
-}
 
 }  // namespace
 
@@ -74,7 +60,7 @@ struct FlServer::Conn {
 };
 
 FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
-    : core_(core), config_(config), now_(std::move(now)) {
+    : core_(core), config_(config), now_(std::move(now)), fold_(core) {
   OASIS_CHECK_MSG(config_.cohort_size >= 1, "cohort_size must be >= 1");
   OASIS_CHECK_MSG(config_.rounds >= 1, "rounds must be >= 1");
   OASIS_CHECK_MSG(config_.max_connections >= config_.cohort_size,
@@ -84,6 +70,7 @@ FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
   OASIS_CHECK_MSG(static_cast<std::uint64_t>(config_.cohort_size) <
                       kMaxFoldsPerRound,
                   "cohort_size overflows the checkpoint generation stride");
+  fl::RoundFold::require_streaming(core_);
   if (!now_) now_ = steady_now_ms;
   if (config_.selection_seed) {
     selection_.emplace(*config_.selection_seed);
@@ -93,6 +80,7 @@ FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
 FlServer::~FlServer() = default;
 
 void FlServer::listen(const std::string& host, std::uint16_t port) {
+  fl::RoundFold::require_streaming(core_);  // the rule may have changed
   listener_ = tcp_listen(host, port);
   host_ = host;
   port_ = local_port(listener_);
@@ -375,17 +363,31 @@ void FlServer::handle_update(Conn& conn, const Frame& frame) {
       // The fold already passed this member (reachable only via a spoofed
       // inner id slipping the duplicate screen after the wire id folded):
       // fold immediately rather than strand it behind the frontier.
-      agg_.add(msg);
-      folded_inner_.push_back(msg.client_id);
-      ++round_accepted_;
-      ++accepts_since_ckpt_;
-      fire_event(Event::kUpdateAccepted);
+      fold_accepted(msg);
     } else {
       accepted_pending_[conn.client_id].push_back(std::move(msg));
     }
   }
   conn.state = Conn::State::kReplied;
   fold_ready();
+}
+
+void FlServer::clear_round() {
+  round_open_ = false;
+  round_order_.clear();
+  round_delivered_.clear();
+  accepted_pending_.clear();
+  fold_.reset();
+  folded_inner_.clear();
+  fold_frontier_ = 0;
+  screen_ = fl::UpdateScreen{};
+}
+
+void FlServer::fold_accepted(const fl::ClientUpdateMessage& msg) {
+  fold_.fold(msg);
+  folded_inner_.push_back(msg.client_id);
+  ++accepts_since_ckpt_;
+  fire_event(Event::kUpdateAccepted);
 }
 
 void FlServer::fold_ready() {
@@ -398,13 +400,7 @@ void FlServer::fold_ready() {
   while (fold_frontier_ < round_order_.size()) {
     const auto it = accepted_pending_.find(round_order_[fold_frontier_]);
     if (it == accepted_pending_.end()) break;
-    for (auto& msg : it->second) {
-      agg_.add(msg);
-      folded_inner_.push_back(msg.client_id);
-      ++round_accepted_;
-      ++accepts_since_ckpt_;
-      fire_event(Event::kUpdateAccepted);
-    }
+    for (const auto& msg : it->second) fold_accepted(msg);
     accepted_pending_.erase(it);
     ++fold_frontier_;
     if (config_.checkpoint != nullptr && config_.checkpoint_every_accepts > 0 &&
@@ -559,7 +555,7 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   sorted_ids.reserve(parked.size());
   for (const auto i : parked) sorted_ids.push_back(conns_[i].client_id);
   std::sort(sorted_ids.begin(), sorted_ids.end());
-  round_order_.clear();
+  clear_round();
   if (selection_) {
     const auto perm = selection_->sample_without_replacement(
         sorted_ids.size(), sorted_ids.size());
@@ -573,12 +569,6 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   round_open_ = true;
   round_started_ms_ = now;
   round_deadline_ms_ = now + config_.round_timeout_ms;
-  round_delivered_.clear();
-  accepted_pending_.clear();
-  agg_.reset();
-  folded_inner_.clear();
-  fold_frontier_ = 0;
-  round_accepted_ = 0;
   screen_ = core_.begin_screen();
 
   core_.begin_round();
@@ -628,32 +618,23 @@ void FlServer::cutover(std::uint64_t now) {
     const std::uint64_t id = round_order_[i];
     const auto it = accepted_pending_.find(id);
     if (it != accepted_pending_.end()) {
-      for (auto& msg : it->second) {
-        agg_.add(msg);
-        folded_inner_.push_back(msg.client_id);
-        ++round_accepted_;
-        ++accepts_since_ckpt_;
-        fire_event(Event::kUpdateAccepted);
-      }
+      for (const auto& msg : it->second) fold_accepted(msg);
       accepted_pending_.erase(it);
     }
     if (round_delivered_.count(id) == 0) stragglers_c.add(1);
   }
   fold_frontier_ = round_order_.size();
 
-  const index_t needed =
-      fl::quorum_needed(config_.quorum_fraction, round_order_.size());
   bool committed = true;
-  if (round_accepted_ < static_cast<std::uint64_t>(needed)) {
-    // Quorum shortfall. The aggregate only ever lived in the accumulator,
-    // so the abort needs no model rollback — dropping the round state IS
-    // the rollback (the shard engine's contract).
+  try {
+    fold_.commit(fl::RoundFold::quorum_needed(config_.quorum_fraction,
+                                              round_order_.size()));
+  } catch (const QuorumError&) {
+    // Quorum shortfall. The aggregate only ever lived in the fold, so the
+    // abort needs no model rollback — dropping the round state IS the
+    // rollback (the shard engine's contract).
     aborted_c.add(1);
     committed = false;
-  } else if (round_accepted_ == 0) {
-    core_.commit_skipped_round();
-  } else {
-    core_.commit_round(agg_.average());
   }
   if (committed) {
     committed_c.add(1);
@@ -664,15 +645,7 @@ void FlServer::cutover(std::uint64_t now) {
   latency_h.record(latency);
 
   const RoundResult result{round_id_, committed};
-  round_open_ = false;
-  round_order_.clear();
-  round_delivered_.clear();
-  accepted_pending_.clear();
-  agg_.reset();
-  folded_inner_.clear();
-  fold_frontier_ = 0;
-  round_accepted_ = 0;
-  screen_ = fl::UpdateScreen{};
+  clear_round();
 
   // Boundary durability: the committed model reaches disk BEFORE any client
   // learns the outcome, so a crash in the commit→ack window restores to the
@@ -728,7 +701,7 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
       meta.u64(round_order_.size());
       for (const auto id : round_order_) meta.u64(id);
       meta.u64(fold_frontier_);
-      meta.u64(round_accepted_);
+      meta.u64(fold_.accepted());
       // FOLDED inner ids only (the duplicate screen's id space) — sorted so
       // identical state always produces identical snapshot bytes. Updates
       // screened-accepted but still parked behind the fold frontier are NOT
@@ -745,14 +718,12 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
   builder.add("model", nn::serialize_state(core_.global_model()));
   if (selection_) {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, selection_->state());
+    rng.rng(selection_->state());
     builder.add("nrng", rng.take());
   }
   if (round_open_) {
     ckpt::SectionWriter agg;
-    agg.u64(agg_.count());
-    agg.f64(static_cast<double>(agg_.total_weight()));
-    agg.bytes(tensor::serialize_tensors(agg_.partials()));
+    fold_.encode(agg);
     builder.add("agg", agg.take());
   }
   return builder.finish();
@@ -772,7 +743,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   const double quorum = meta.f64();
   const bool has_selection = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
-  std::uint64_t round_id = 0, frontier = 0, accepted_count = 0;
+  std::uint64_t round_id = 0, frontier = 0;
   std::vector<std::uint64_t> order;
   std::vector<std::uint64_t> accepted_ids;
   if (mid) {
@@ -781,7 +752,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     order.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) order.push_back(meta.u64());
     frontier = meta.u64();
-    accepted_count = meta.u64();
+    meta.u64();  // accepted: the fold's own count, restored from "agg"
     const std::uint64_t na = meta.u64();
     accepted_ids.reserve(na);
     for (std::uint64_t i = 0; i < na; ++i) accepted_ids.push_back(meta.u64());
@@ -807,64 +778,41 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   common::Rng::State sel_state{};
   if (has_selection) {
     ckpt::SectionReader rng(snap.section("nrng"), "nrng");
-    sel_state = read_rng_state(rng);
+    sel_state = rng.rng();
     rng.expect_end();
   }
 
-  std::vector<tensor::Tensor> partials;
-  std::uint64_t acc_count = 0;
-  double acc_weight = 0.0;
+  fl::RoundFold::Saved folded;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
-    acc_count = agg.u64();
-    acc_weight = agg.f64();
-    const ckpt::ByteBuffer partial_bytes = agg.bytes();
+    folded = fl::RoundFold::decode(agg);
     agg.expect_end();
-    try {
-      partials = tensor::deserialize_tensors(partial_bytes);
-    } catch (const Error& e) {
-      throw CheckpointError(
-          Reason::kMalformedSection,
-          std::string("accumulator partials failed to decode: ") + e.what());
-    }
   }
 
   const tensor::ByteBuffer& model_bytes = snap.section("model");
 
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(core_.global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(core_.global_model(), model_bytes);
   core_.restore_round(round);
   served_ = served;
   if (has_selection) selection_->set_state(sel_state);
-  accepted_pending_.clear();
+  clear_round();
   accepts_since_ckpt_ = 0;
   if (mid) {
     round_open_ = true;
     round_id_ = round_id;
     round_order_ = std::move(order);
     fold_frontier_ = frontier;
-    round_accepted_ = accepted_count;
     // The accepted-client set: the folded prefix of the round order (wire
     // ids, drives completion) plus the folded inner ids (feeds the
     // duplicate screen, so a resend of a folded update is rejected — no
     // double count — while unfolded members resend freely).
-    round_delivered_.clear();
     for (std::size_t i = 0; i < fold_frontier_; ++i) {
       round_delivered_.insert(round_order_[i]);
     }
     screen_ = core_.begin_screen();
     for (const auto id : accepted_ids) screen_.seen_ids.insert(id);
     folded_inner_ = std::move(accepted_ids);
-    agg_.restore(std::move(partials), static_cast<real>(acc_weight),
-                 acc_count);
+    fold_.restore(std::move(folded), 0);
     // Re-arm the collection deadline from restore time and rebuild the
     // dispatch (begin_round is pure: round id + current model bytes) so
     // resumed members that never trained can be re-dispatched.
@@ -872,15 +820,6 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     round_started_ms_ = now;
     round_deadline_ms_ = now + config_.round_timeout_ms;
     core_.begin_round();
-  } else {
-    round_open_ = false;
-    round_order_.clear();
-    round_delivered_.clear();
-    agg_.reset();
-    folded_inner_.clear();
-    fold_frontier_ = 0;
-    round_accepted_ = 0;
-    screen_ = fl::UpdateScreen{};
   }
 }
 

@@ -2,10 +2,10 @@
 //
 // A poll(2)-driven, non-blocking TCP front end over an existing fl::Server:
 // the network layer owns connections, framing, admission, and deadlines;
-// every protocol decision that touches the model (validation, FedAvg, SGD,
-// quorum abort) goes through the same fl::Server entry points the in-process
-// engine uses, so the PR 3 validation pipeline screens every byte arriving
-// over TCP exactly as it screens in-process updates.
+// every protocol decision that touches the model (validation, aggregation,
+// SGD, quorum abort) goes through fl::RoundFold, the fold stage every engine
+// shares, under the core's Server::aggregator(). Like the sharded engine, it
+// refuses the buffering rules (ConfigError): they have no snapshot form.
 //
 // Connection lifecycle:
 //
@@ -28,9 +28,9 @@
 // participant before admitting the next cohort.
 //
 // Survivability (DESIGN.md §5j): accepted updates are screened on arrival
-// and folded into a streaming FedAvgAccumulator in the deterministic round
-// order; with a ckpt::CheckpointManager configured, the fold frontier is
-// checkpointed at round boundaries plus every K accepts, and resume_from()
+// and folded into the RoundFold in the deterministic round order; with a
+// ckpt::CheckpointManager configured, the fold frontier is checkpointed at
+// round boundaries plus every K accepts, and resume_from()
 // reinstates the round ticket, accumulator partials, and accepted-client
 // set, after which the server re-binds the same port and reconnecting
 // clients resolve their in-flight updates via the kResume handshake. A
@@ -55,7 +55,7 @@
 
 #include "ckpt/manager.h"
 #include "common/rng.h"
-#include "fl/aggregation.h"
+#include "fl/round_fold.h"
 #include "fl/server.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -75,7 +75,7 @@ struct FlServerConfig {
   index_t cohort_size = 4;
   /// Committed rounds to serve before draining and closing.
   std::uint64_t rounds = 1;
-  /// Quorum over the cohort (fl::quorum_needed semantics). An aborted round
+  /// Quorum over the cohort (fl::RoundFold::quorum_needed). An aborted round
   /// discards the streamed aggregate (the model was never touched) and does
   /// not count as served.
   real quorum_fraction = 0.0;
@@ -133,6 +133,7 @@ class FlServer {
   using EventHook = std::function<void(Event)>;
 
   /// `core` must outlive the FlServer. `now` defaults to the steady clock.
+  /// Throws ConfigError when core.aggregator() buffers the cohort.
   FlServer(fl::Server& core, FlServerConfig config, TimeSource now = {});
   ~FlServer();
 
@@ -140,6 +141,7 @@ class FlServer {
   FlServer& operator=(const FlServer&) = delete;
 
   /// Binds and listens (numeric IPv4 host; port 0 → ephemeral, see port()).
+  /// Re-checks the core's aggregator (ConfigError for a buffering rule).
   /// With a checkpoint manager configured and no snapshot on disk yet, a
   /// generation-0 boundary snapshot is written so a crash at any later point
   /// always has something to restore.
@@ -222,6 +224,10 @@ class FlServer {
   /// streamed aggregate byte-identical to the batch cutover fold, and what
   /// makes a mid-round snapshot's accepted set a simple order prefix.
   void fold_ready();
+  /// Folds one accepted update and does the frontier bookkeeping.
+  void fold_accepted(const fl::ClientUpdateMessage& msg);
+  /// Drops every piece of in-flight round state.
+  void clear_round();
   /// Snapshot of the complete serving state (model, round ticket, fold
   /// frontier, accumulator partials, accepted ids, selection RNG).
   [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
@@ -253,8 +259,8 @@ class FlServer {
   std::unordered_map<std::uint64_t, std::vector<fl::ClientUpdateMessage>>
       accepted_pending_;
   fl::UpdateScreen screen_;            // streaming validation context
-  fl::FedAvgAccumulator agg_;          // the durable streamed aggregate
-  /// INNER ids of the updates actually folded into agg_ — a strict subset of
+  fl::RoundFold fold_;                 // the durable streamed aggregate
+  /// INNER ids of the updates already folded into fold_ — a strict subset of
   /// screen_.seen_ids whenever accepted updates are still parked behind the
   /// fold frontier. Snapshots serialize THIS set, not the screen's: an
   /// accepted-but-unfolded update is absent from the serialized partials, so
@@ -263,7 +269,6 @@ class FlServer {
   /// silently shrink the round's aggregate.
   std::vector<std::uint64_t> folded_inner_;
   std::size_t fold_frontier_ = 0;      // round_order_ prefix already folded
-  std::uint64_t round_accepted_ = 0;   // accepted updates folded this round
   std::uint64_t accepts_since_ckpt_ = 0;
   bool ckpt_degraded_ = false;
   std::uint64_t round_deadline_ms_ = 0;

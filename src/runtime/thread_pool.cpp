@@ -33,7 +33,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker_thread() const { return t_pool == this; }
 
 void ThreadPool::submit(Task task) {
   std::size_t target;

@@ -42,10 +42,6 @@ class ThreadPool {
 
   [[nodiscard]] index_t num_workers() const { return workers_.size(); }
 
-  /// True when the calling thread is a worker of this pool. Used by
-  /// parallel_for to decide between helping inline and sleeping.
-  [[nodiscard]] bool on_worker_thread() const;
-
  private:
   struct WorkerQueue {
     std::mutex mutex;

@@ -608,19 +608,23 @@ TEST(ByzantineChaos, ShardedEngineRefusesBufferingAggregators) {
   pc.factory = host_factory(40);
   ShardedConfig sc;
   sc.shard_size = 4;
-  sc.aggregator.kind = AggregatorKind::kCoordinateMedian;
-  EXPECT_THROW(ShardedSimulation(std::make_unique<Server>(host_factory(40)(),
-                                                          0.1),
+  // The rule lives on the Server; the engine reads it from there.
+  auto median_server = std::make_unique<Server>(host_factory(40)(), 0.1);
+  AggregatorConfig median_cfg;
+  median_cfg.kind = AggregatorKind::kCoordinateMedian;
+  median_server->set_aggregator(median_cfg);
+  EXPECT_THROW(ShardedSimulation(std::move(median_server),
                                  VirtualPopulation(pc), sc),
                ConfigError);
 
   // Norm-bounded streams: same engine, same memory contract, and the clip
   // absorbs a scale-blowup attacker.
-  ShardedConfig ok = sc;
-  ok.aggregator.kind = AggregatorKind::kNormBounded;
-  ok.aggregator.norm_bound = 1.0;
-  ShardedSimulation sim(std::make_unique<Server>(host_factory(40)(), 0.1),
-                        VirtualPopulation(pc), ok);
+  auto bounded_server = std::make_unique<Server>(host_factory(40)(), 0.1);
+  AggregatorConfig bounded_cfg;
+  bounded_cfg.kind = AggregatorKind::kNormBounded;
+  bounded_cfg.norm_bound = 1.0;
+  bounded_server->set_aggregator(bounded_cfg);
+  ShardedSimulation sim(std::move(bounded_server), VirtualPopulation(pc), sc);
   FaultConfig fc = byzantine_faults(0.3, 3);
   fc.byzantine_kind = ByzantineKind::kScaleBlowup;
   fc.byzantine_scale = 1e3;

@@ -336,6 +336,73 @@ TEST(NetRound, LoopbackFederationMatchesInProcessServerBitExactly) {
   EXPECT_EQ(server.round_latencies_ms().size(), kRounds);
 }
 
+// --- Aggregation rule: taken from the core fl::Server ----------------------
+
+TEST(NetAggregator, NormBoundedLoopbackMatchesSimulationBitExactly) {
+  constexpr index_t kClients = 3;
+  constexpr std::uint64_t kRounds = 2;
+  constexpr std::uint64_t kSelectionSeed = 5;
+  const fl::AggregatorConfig bounded = fl::parse_aggregator("normbound:0.05");
+
+  // Reference: the in-process engine under the same server-side rule.
+  const auto simulate = [&](const fl::AggregatorConfig& aggregator) {
+    auto ref_server =
+        std::make_unique<fl::Server>(tiny_factory(44)(), /*learning_rate=*/0.1);
+    ref_server->set_aggregator(aggregator);
+    std::vector<std::unique_ptr<fl::Client>> ref_clients;
+    for (index_t i = 0; i < kClients; ++i) {
+      ref_clients.push_back(make_client(i));
+    }
+    fl::Simulation sim(std::move(ref_server), std::move(ref_clients),
+                       fl::SimulationConfig{0, kSelectionSeed});
+    sim.run(kRounds);
+    return nn::serialize_state(sim.server().global_model());
+  };
+  const auto want = simulate(bounded);
+  ASSERT_NE(want, simulate(fl::AggregatorConfig{}))
+      << "the bound must clip, or this only repeats the FedAvg test";
+
+  fl::Server core(tiny_factory(44)(), /*learning_rate=*/0.1);
+  core.set_aggregator(bounded);
+  FlServerConfig cfg;
+  cfg.cohort_size = kClients;
+  cfg.rounds = kRounds;
+  cfg.selection_seed = kSelectionSeed;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+  FlServer server(core, cfg, clock);
+  server.listen("127.0.0.1", 0);
+
+  std::vector<std::unique_ptr<fl::Client>> cores;
+  std::vector<std::unique_ptr<FlClient>> clients;
+  for (index_t i = 0; i < kClients; ++i) {
+    cores.push_back(make_client(i));
+    FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<FlClient>(*cores[i], ccfg, clock));
+    clients[i]->connect("127.0.0.1", server.port());
+  }
+  ASSERT_TRUE(drive_loopback(
+      server, {clients[0].get(), clients[1].get(), clients[2].get()}, t));
+  EXPECT_EQ(server.rounds_served(), kRounds);
+  EXPECT_EQ(nn::serialize_state(core.global_model()), want)
+      << "the socket server must fold under the core server's aggregator";
+}
+
+TEST(NetAggregator, BufferingRulesAreRefusedBeforeAnyClientTrains) {
+  FlServerConfig cfg;
+  for (const char* spec : {"median", "trimmed:0.2"}) {
+    fl::Server core(tiny_factory(44)(), /*learning_rate=*/0.1);
+    core.set_aggregator(fl::parse_aggregator(spec));
+    EXPECT_THROW(FlServer(core, cfg), ConfigError) << spec;
+  }
+  // A rule switched after construction is caught when serving starts.
+  fl::Server core(tiny_factory(44)(), /*learning_rate=*/0.1);
+  FlServer server(core, cfg);
+  core.set_aggregator(fl::parse_aggregator("median"));
+  EXPECT_THROW(server.listen("127.0.0.1", 0), ConfigError);
+}
+
 // --- Satellite: graceful cutover + backpressure -----------------------------
 
 TEST(NetRound, MidRoundArrivalBouncesThenJoinsNextRoundBitExactly) {

@@ -146,7 +146,7 @@ TEST(DefenseInvariants, AugmentedBatchNeverMutatesOriginals) {
   common::Rng rng(15);
   const tensor::Tensor images = tensor::Tensor::rand({3, 3, 12, 12}, rng);
   data::Batch batch{images, {0, 1, 2}};
-  for (const auto kinds :
+  for (const auto& kinds :
        {std::vector<augment::TransformKind>{
             augment::TransformKind::kMajorRotation},
         std::vector<augment::TransformKind>{
@@ -168,13 +168,13 @@ TEST(DefenseInvariants, EveryVariantSharesItsOriginalsMean) {
   common::Rng rng(16);
   const tensor::Tensor img = tensor::Tensor::rand({3, 16, 16}, rng);
   using augment::TransformKind;
-  for (const auto kinds : {std::vector<TransformKind>{TransformKind::kMajorRotation},
-                           std::vector<TransformKind>{TransformKind::kMinorRotation},
-                           std::vector<TransformKind>{TransformKind::kShear},
-                           std::vector<TransformKind>{TransformKind::kHorizontalFlip},
-                           std::vector<TransformKind>{TransformKind::kVerticalFlip},
-                           std::vector<TransformKind>{TransformKind::kMajorRotation,
-                                                      TransformKind::kShear}}) {
+  for (const auto& kinds : {std::vector<TransformKind>{TransformKind::kMajorRotation},
+                            std::vector<TransformKind>{TransformKind::kMinorRotation},
+                            std::vector<TransformKind>{TransformKind::kShear},
+                            std::vector<TransformKind>{TransformKind::kHorizontalFlip},
+                            std::vector<TransformKind>{TransformKind::kVerticalFlip},
+                            std::vector<TransformKind>{TransformKind::kMajorRotation,
+                                                       TransformKind::kShear}}) {
     const auto policy = augment::make_policy(kinds);
     for (const auto& v : policy.variants(img, rng)) {
       EXPECT_NEAR(v.mean(), img.mean(), 1e-12) << policy.label();

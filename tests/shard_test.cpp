@@ -51,9 +51,20 @@ VirtualPopulationConfig test_population(index_t num_clients = kPopulation) {
   return cfg;
 }
 
-std::unique_ptr<Server> test_server() {
-  return std::make_unique<Server>(test_population().factory(),
-                                  /*learning_rate=*/0.1);
+std::unique_ptr<Server> test_server(const AggregatorConfig& aggregator = {}) {
+  auto server = std::make_unique<Server>(test_population().factory(),
+                                         /*learning_rate=*/0.1);
+  server->set_aggregator(aggregator);
+  return server;
+}
+
+/// Norm-bounded aggregation with a bound below most of this federation's
+/// update norms, so the clip changes the aggregate.
+AggregatorConfig norm_bounded() {
+  AggregatorConfig cfg;
+  cfg.kind = AggregatorKind::kNormBounded;
+  cfg.norm_bound = 0.05;
+  return cfg;
 }
 
 /// The counters BOTH engines emit on the honest path. Everything else —
@@ -80,7 +91,8 @@ struct RunResult {
 
 RunResult run_sharded(index_t threads, index_t shard_size,
                       CohortSampler sampler = CohortSampler::kFisherYates,
-                      index_t rounds = kRounds) {
+                      index_t rounds = kRounds,
+                      const AggregatorConfig& aggregator = {}) {
   runtime::set_num_threads(threads);
   obs::Registry::global().reset();
   ShardedConfig cfg;
@@ -88,48 +100,64 @@ RunResult run_sharded(index_t threads, index_t shard_size,
   cfg.shard_size = shard_size;
   cfg.seed = kSelectionSeed;
   cfg.sampler = sampler;
-  ShardedSimulation engine(test_server(), VirtualPopulation(test_population()),
-                           cfg);
+  ShardedSimulation engine(test_server(aggregator),
+                           VirtualPopulation(test_population()), cfg);
   engine.run(rounds);
   return {nn::serialize_state(engine.server().global_model()),
           shared_counters()};
 }
 
-RunResult run_materialized(index_t threads, index_t rounds = kRounds) {
+RunResult run_materialized(index_t threads, index_t rounds = kRounds,
+                           const AggregatorConfig& aggregator = {}) {
   runtime::set_num_threads(threads);
   obs::Registry::global().reset();
   VirtualPopulation population(test_population());
-  Simulation sim(test_server(), population.materialize(),
+  Simulation sim(test_server(aggregator), population.materialize(),
                  SimulationConfig{kCohort, kSelectionSeed});
   sim.run(rounds);
   return {nn::serialize_state(sim.server().global_model()),
           shared_counters()};
 }
 
-void expect_differential_identity(index_t threads) {
-  const RunResult reference = run_materialized(threads);
+void expect_differential_identity(index_t threads,
+                                  const AggregatorConfig& aggregator) {
+  const RunResult reference = run_materialized(threads, kRounds, aggregator);
   ASSERT_FALSE(reference.model.empty());
+  if (aggregator.kind != AggregatorKind::kFedAvg) {
+    // The rule must change the aggregate, or this repeats the FedAvg proof.
+    ASSERT_NE(reference.model, run_materialized(threads).model);
+  }
   ASSERT_EQ(reference.counters.at("fl.rounds"), kRounds);
   ASSERT_EQ(reference.counters.at("fl.clients_trained"), kRounds * kCohort);
   for (const index_t shard_size : {index_t{1}, index_t{7}, index_t{64}}) {
-    const RunResult sharded = run_sharded(threads, shard_size);
+    const RunResult sharded =
+        run_sharded(threads, shard_size, CohortSampler::kFisherYates, kRounds,
+                    aggregator);
     EXPECT_EQ(sharded.model, reference.model)
         << "model bytes diverged at shard_size=" << shard_size
-        << " threads=" << threads;
+        << " threads=" << threads
+        << " aggregator=" << to_string(aggregator.kind);
     EXPECT_EQ(sharded.counters, reference.counters)
         << "shared obs counters diverged at shard_size=" << shard_size
-        << " threads=" << threads;
+        << " threads=" << threads
+        << " aggregator=" << to_string(aggregator.kind);
   }
 }
 
 // --- The differential proof: sharded == materialized, byte for byte --------
 
+// Both engines fold through RoundFold, which takes the rule from the
+// Server, so the proof holds for every streaming aggregator.
 TEST(ShardDifferential, MatchesMaterializedSimulation_Serial) {
-  expect_differential_identity(1);
+  for (const auto& aggregator : {AggregatorConfig{}, norm_bounded()}) {
+    expect_differential_identity(1, aggregator);
+  }
 }
 
 TEST(ShardDifferential, MatchesMaterializedSimulation_Threads8) {
-  expect_differential_identity(8);
+  for (const auto& aggregator : {AggregatorConfig{}, norm_bounded()}) {
+    expect_differential_identity(8, aggregator);
+  }
 }
 
 // The sharded engine must also agree with ITSELF across thread counts —
