@@ -14,6 +14,10 @@
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
 # differential).
 #
+# Every stage configures with -DOASIS_WERROR=ON: the tree builds
+# warning-free under each build type and sanitizer, and a new warning fails
+# CI.
+#
 # Every test carries a ctest LABEL (unit | integration | sanitizer |
 # property | golden | chaos | crash | net | net_chaos | shard | defense) and
 # a hard 30 s per-test TIMEOUT — a test that exceeds it fails the suite.
@@ -44,7 +48,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 run_release() {
   echo "==> [ci] Release build + ctest"
-  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DOASIS_WERROR=ON
   cmake --build build-ci -j "${jobs}"
   ctest --test-dir build-ci --output-on-failure -j "${jobs}"
 }
@@ -54,7 +58,7 @@ run_asan() {
   # exactly the ones that would surface a packing overrun or arena misuse,
   # which is ASan's home turf.
   echo "==> [ci] AddressSanitizer build (unit + golden + kernel labels)"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}"
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
     -L 'unit|golden|kernel'
@@ -70,7 +74,7 @@ run_kernel() {
   # differential sweeps — where a racy B-panel pack or C-tile store would
   # surface.
   echo "==> [ci] Kernel stage: per-ISA differential matrix under ASan/UBSan + TSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target kernel_diff_test
   isas="scalar"
   if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null \
@@ -86,7 +90,7 @@ run_kernel() {
     OASIS_GEMM_ISA="${isa}" ctest --test-dir build-asan --output-on-failure \
       -j "${jobs}" -L kernel
   done
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target kernel_diff_test
   for isa in ${isas}; do
     echo "==> [ci] 8-thread GEMM differential under TSan, OASIS_GEMM_ISA=${isa}"
@@ -100,7 +104,7 @@ run_chaos() {
   # flips, aborted rounds), so it runs under ASan/UBSan, reusing the asan
   # build tree when it exists.
   echo "==> [ci] Chaos stage: fault-injection suite under ASan/UBSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target chaos_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L chaos
 }
@@ -112,7 +116,7 @@ run_crash() {
   # run under ASan/UBSan so an out-of-bounds read on a damaged snapshot
   # aborts loudly instead of passing quietly.
   echo "==> [ci] Crash stage: kill-point checkpoint/resume harness under ASan/UBSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target crash_test ckpt_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L crash
 }
@@ -125,7 +129,7 @@ run_shard() {
   # mid-shard crash that leaks or double-frees in the resume path aborts
   # loudly.
   echo "==> [ci] Shard stage: sharded round engine differential + crash tests under ASan/UBSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target shard_test crash_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L shard
   ./build-asan/tests/crash_test --gtest_filter='ShardCrashResume.*'
@@ -137,10 +141,10 @@ run_net() {
   # poll-driven event loop plus the fork-based federation get a TSan pass
   # over a real loopback round-trip.
   echo "==> [ci] Net stage: socket serving tests under ASan/UBSan + TSan loopback"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target net_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L net
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
     --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly'
@@ -156,10 +160,10 @@ run_net_chaos() {
   # under TSan: reconnect loops, idle deadlines, and heartbeat timers are
   # exactly where a racy session teardown would surface.
   echo "==> [ci] Net-chaos stage: server-kill harness under ASan/UBSan + reconnect tests under TSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target net_chaos_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L net_chaos
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
     --gtest_filter='NetClient.StalledServerTripsIdleDeadlineIntoReconnect:NetClient.HeartbeatingServerHoldsSessionWithoutReconnect:NetClient.BackoffScheduleIsExponentialCappedAndReproducible:NetRestart.MidRoundRestartWithPendingAcceptsIsBitExact'
@@ -177,13 +181,13 @@ run_defense() {
   # colluding cohorts push the engines through their refusal and exclusion
   # paths at 8 threads, exactly where a racy per-slot catch would surface.
   echo "==> [ci] Defense stage: defense + robust-aggregation under ASan/UBSan + Byzantine chaos under TSan"
-  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target defense_test property_test \
     net_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L defense
   ./build-asan/tests/property_test --gtest_filter='RobustAggregation.*'
   ./build-asan/tests/net_test --gtest_filter='NetAggregator.*'
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target defense_test
   ./build-tsan/tests/defense_test --gtest_filter='ByzantineChaos.*'
 }
@@ -192,7 +196,7 @@ run_tsan() {
   # crash_test rides along: its 8-thread shards resume checkpoints into a
   # freshly spawned pool, exactly where a racy restore would surface.
   echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test)"
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target runtime_test fl_test     chaos_test crash_test
   ./build-tsan/tests/runtime_test
   ./build-tsan/tests/fl_test
@@ -209,7 +213,7 @@ run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
   echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors, both dtypes)"
-  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DOASIS_WERROR=ON
   cmake --build build-ci -j "${jobs}" --target perf_guard_test
   OASIS_PERF_GUARD=1 ctest --test-dir build-ci --output-on-failure -L perf
 }

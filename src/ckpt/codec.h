@@ -18,6 +18,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "tensor/serialize.h"
 
 namespace oasis::ckpt {
 
@@ -31,11 +32,11 @@ class SectionWriter {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
   }
   void bytes(const ByteBuffer& b) {
     u64(b.size());
-    out_.insert(out_.end(), b.begin(), b.end());
+    raw(b.data(), b.size());
   }
   /// Bit-packed flag vector (u64 bit count + ceil(n/8) bytes, LSB-first).
   /// The sharded round engine stores its completed-shard bitmap this way so
@@ -49,10 +50,7 @@ class SectionWriter {
   [[nodiscard]] ByteBuffer take() { return std::move(out_); }
 
  private:
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
-  }
+  void raw(const void* p, std::size_t n) { tensor::append_bytes(out_, p, n); }
   ByteBuffer out_;
 };
 
@@ -91,10 +89,23 @@ class SectionReader {
     off_ += n;
     return b;
   }
+  /// Reads a u32/u64 count prefix. Every count-prefixed list reads its count
+  /// here: more elements of `element_bits` bits than the bytes left hold
+  /// throw kMalformedSection BEFORE the caller sizes anything from it.
+  template <typename T = std::uint64_t>
+  std::size_t count(std::size_t element_bits) {
+    T n = 0;
+    raw(&n, sizeof(n));
+    if (static_cast<std::uint64_t>(n) > 8 * remaining() / element_bits) {
+      throw CheckpointError(CheckpointError::Reason::kMalformedSection,
+                            "section '" + section_ + "' count " +
+                                std::to_string(n) + " overruns its bytes");
+    }
+    return static_cast<std::size_t>(n);
+  }
   std::vector<bool> bitset() {
-    const std::uint64_t nbits = u64();
-    const std::uint64_t nbytes = (nbits + 7) / 8;
-    need(nbytes);
+    const std::size_t nbits = count(1);
+    const std::size_t nbytes = (nbits + 7) / 8;
     std::vector<bool> bits(nbits);
     for (std::uint64_t i = 0; i < nbits; ++i) {
       bits[i] = (in_[off_ + i / 8] >> (i % 8)) & 1u;

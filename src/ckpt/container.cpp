@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/crc32c.h"
+#include "tensor/serialize.h"
 
 namespace oasis::ckpt {
 namespace {
@@ -21,13 +22,11 @@ constexpr std::size_t kMaxNameLen = 255;
 constexpr std::uint32_t kMaxSections = 4096;
 
 void put_u32(std::uint32_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  tensor::append_bytes(out, &v, sizeof(v));
 }
 
 void put_u64(std::uint64_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  tensor::append_bytes(out, &v, sizeof(v));
 }
 
 // Directory reads happen after the footer CRC has validated the whole file,
@@ -71,7 +70,7 @@ void SnapshotBuilder::add(const std::string& name, ByteBuffer payload) {
 
 ByteBuffer SnapshotBuilder::finish() const {
   ByteBuffer out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  tensor::append_bytes(out, kMagic, sizeof(kMagic));
   put_u32(kVersion, out);
   put_u32(static_cast<std::uint32_t>(sections_.size()), out);
 
@@ -85,14 +84,14 @@ ByteBuffer SnapshotBuilder::finish() const {
   std::uint64_t payload_off = kHeaderBytes + dir_bytes;
   for (const auto& [name, payload] : sections_) {
     put_u32(static_cast<std::uint32_t>(name.size()), out);
-    out.insert(out.end(), name.begin(), name.end());
+    tensor::append_bytes(out, name.data(), name.size());
     put_u64(payload_off, out);
     put_u64(payload.size(), out);
     put_u32(crc32c(payload.data(), payload.size()), out);
     payload_off += payload.size();
   }
   for (const auto& [name, payload] : sections_) {
-    out.insert(out.end(), payload.begin(), payload.end());
+    tensor::append_bytes(out, payload.data(), payload.size());
   }
   put_u32(crc32c(out.data(), out.size()), out);
   return out;

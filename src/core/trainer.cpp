@@ -3,13 +3,10 @@
 #include <memory>
 
 #include "augment/policy.h"
-#include "ckpt/codec.h"
-#include "ckpt/container.h"
-#include "ckpt/manager.h"
+#include "ckpt/engine_codec.h"
 #include "common/logging.h"
 #include "metrics/accuracy.h"
 #include "nn/loss.h"
-#include "nn/model_io.h"
 #include "obs/obs.h"
 #include "tensor/serialize.h"
 
@@ -23,21 +20,22 @@ struct TrainerState {
   std::vector<real> epoch_loss;
 };
 
+constexpr ckpt::SnapshotSchema kSchema{"meta", /*obs=*/false};
+
+void config_echo(const TrainerConfig& config, ckpt::ConfigEcho echo) {
+  echo.u64("seed", config.seed).u64("batch_size", config.batch_size);
+}
+
 tensor::ByteBuffer encode_trainer_checkpoint(const TrainerConfig& config,
                                              nn::Sequential& model,
                                              const nn::Optimizer& optimizer,
                                              const common::Rng& rng,
                                              const TrainerState& state) {
-  obs::counter("ckpt.save_total").add(1);
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
-    meta.u64(state.epochs_done);
-    meta.u64(config.seed);
-    meta.u64(config.batch_size);
-    builder.add("meta", meta.take());
-  }
-  builder.add("model", nn::serialize_state(model));
+  ckpt::SectionWriter meta;
+  meta.u64(state.epochs_done);
+  config_echo(config, ckpt::ConfigEcho(meta));
+  ckpt::SnapshotBuilder builder =
+      ckpt::begin_snapshot(kSchema, std::move(meta), model);
   builder.add("opt", tensor::serialize_tensors(optimizer.state_tensors()));
   {
     ckpt::SectionWriter w;
@@ -50,7 +48,7 @@ tensor::ByteBuffer encode_trainer_checkpoint(const TrainerConfig& config,
     for (const real l : state.epoch_loss) w.f64(static_cast<double>(l));
     builder.add("loss", w.take());
   }
-  return builder.finish();
+  return ckpt::finish_snapshot(kSchema, builder);
 }
 
 TrainerState apply_trainer_checkpoint(const ckpt::Snapshot& snap,
@@ -58,41 +56,33 @@ TrainerState apply_trainer_checkpoint(const ckpt::Snapshot& snap,
                                       nn::Sequential& model,
                                       nn::Optimizer& optimizer,
                                       common::Rng& rng) {
-  using Reason = CheckpointError::Reason;
-  ckpt::SectionReader meta(snap.section("meta"), "meta");
+  ckpt::SnapshotReader reader(kSchema, snap);
   TrainerState state;
-  state.epochs_done = static_cast<index_t>(meta.u64());
-  const std::uint64_t seed = meta.u64();
-  const std::uint64_t batch_size = meta.u64();
-  meta.expect_end();
-  if (seed != config.seed || batch_size != config.batch_size) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          "trainer snapshot belongs to a different run (seed " +
-                              std::to_string(seed) + ", batch " +
-                              std::to_string(batch_size) + ")");
-  }
+  state.epochs_done = static_cast<index_t>(reader.meta().u64());
+  config_echo(config, ckpt::ConfigEcho(reader.meta()));
+  reader.meta().expect_end();
 
   ckpt::SectionReader rng_r(snap.section("rng"), "rng");
   const common::Rng::State rs = rng_r.rng();
   rng_r.expect_end();
 
   ckpt::SectionReader loss_r(snap.section("loss"), "loss");
-  state.epoch_loss.resize(loss_r.u32());
+  state.epoch_loss.resize(loss_r.count<std::uint32_t>(8 * sizeof(double)));
   for (auto& l : state.epoch_loss) l = static_cast<real>(loss_r.f64());
   loss_r.expect_end();
 
-  try {
-    nn::deserialize_state(model, snap.section("model"));
-    optimizer.load_state_tensors(
-        tensor::deserialize_tensors(snap.section("opt")));
-  } catch (const Error& e) {
-    throw CheckpointError(
-        Reason::kStateMismatch,
-        std::string("trainer snapshot does not fit the live model: ") +
-            e.what());
-  }
-  rng.set_state(rs);
-  obs::counter("ckpt.restore_total").add(1);
+  const ckpt::ByteBuffer& opt_bytes = snap.section("opt");
+  reader.apply(model, [&] {
+    try {
+      optimizer.load_state_tensors(tensor::deserialize_tensors(opt_bytes));
+    } catch (const Error& e) {
+      throw CheckpointError(
+          CheckpointError::Reason::kStateMismatch,
+          std::string("optimizer state does not fit the live model: ") +
+              e.what());
+    }
+    rng.set_state(rs);
+  });
   return state;
 }
 

@@ -17,12 +17,18 @@ bool buffers(AggregatorKind kind) {
 }  // namespace
 
 index_t RoundFold::quorum_needed(real fraction, index_t m) {
-  OASIS_CHECK_MSG(fraction >= 0.0 && fraction <= 1.0,
-                  "quorum_fraction " << fraction << " outside [0, 1]");
+  require_quorum_fraction(fraction);
   if (fraction <= 0.0) return 0;
   auto needed =
       static_cast<index_t>(std::ceil(fraction * static_cast<real>(m)));
   return needed < 1 ? 1 : needed;
+}
+
+void RoundFold::require_quorum_fraction(real fraction) {
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {  // NaN fails too
+    throw ConfigError("quorum_fraction " + std::to_string(fraction) +
+                      " outside [0, 1]");
+  }
 }
 
 void RoundFold::require_streaming(const Server& server) {

@@ -28,6 +28,10 @@ class RoundFold {
   /// least 1 when fraction > 0; 0 disables the quorum.
   [[nodiscard]] static index_t quorum_needed(real fraction, index_t m);
 
+  /// Throws ConfigError unless 0 <= fraction <= 1; engines call it at
+  /// construction.
+  static void require_quorum_fraction(real fraction);
+
   /// Throws ConfigError when `server`'s rule buffers the cohort.
   static void require_streaming(const Server& server);
 

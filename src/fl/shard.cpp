@@ -1,11 +1,6 @@
 #include "fl/shard.h"
 
-#include "ckpt/codec.h"
-#include "ckpt/container.h"
-#include "ckpt/model_section.h"
-#include "ckpt/obs_state.h"
 #include "fl/client_stage.h"
-#include "nn/model_io.h"
 #include "obs/obs.h"
 
 namespace oasis::fl {
@@ -20,6 +15,8 @@ const char* to_string(CohortSampler sampler) {
 
 namespace {
 
+constexpr ckpt::SnapshotSchema kSchema{"smeta", /*obs=*/true};
+
 /// Everyone-joins sentinel for cohort_threshold (cohort == population).
 constexpr std::uint64_t kFullCohort = ~std::uint64_t{0};
 
@@ -32,6 +29,14 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
+}
+
+/// The completed-shard bitmap "agg" stores: shards fold in order, so it is
+/// always the prefix [0, done) of the round's shards.
+std::vector<bool> shard_prefix(std::uint64_t done, std::uint64_t shards) {
+  std::vector<bool> bits(shards, false);
+  for (std::uint64_t i = 0; i < done && i < shards; ++i) bits[i] = true;
+  return bits;
 }
 
 }  // namespace
@@ -82,9 +87,7 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
                       " exceeds population " +
                       std::to_string(population_.size()));
   }
-  if (config_.quorum_fraction < 0.0 || config_.quorum_fraction > 1.0) {
-    throw ConfigError("quorum_fraction outside [0, 1]");
-  }
+  RoundFold::require_quorum_fraction(config_.quorum_fraction);
   RoundFold::require_streaming(*server_);
 }
 
@@ -119,11 +122,8 @@ void ShardedSimulation::begin_round_state() {
   ticket_ = round_tickets_++;
   cohort_size_ = derive_cohort(rng_);
   num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
-  OASIS_CHECK_MSG(num_shards_ < kMaxShardsPerRound,
-                  num_shards_ << " shards exceed the generation-numbering "
-                                 "ceiling; raise shard_size");
+  ckpt::Generation::require_room(num_shards_, "shards (raise shard_size)");
   // Everything else starts from clear_round_state()'s zeros.
-  shard_done_.assign(num_shards_, false);
   mid_round_ = true;
   server_->begin_round();
 }
@@ -159,9 +159,10 @@ void ShardedSimulation::process_shard() {
   collect_shard_members(members);
 
   // Serial dispatch + fault decisions: faults are pure functions of the
-  // plan, but the (possibly stateful) server builds the payloads, and
-  // dropouts must be decided before training so a dropped client never
-  // trains — matching the materialized engine's counters.
+  // plan, but the (possibly stateful) server builds the payloads. Every
+  // member is dispatched, as in the materialized engine; a dropout is then
+  // decided before training, so a dropped client never trains — matching
+  // that engine's counters.
   std::vector<ClientSlot> slots;
   std::vector<GlobalModelMessage> dispatched;
   slots.reserve(members.size());
@@ -170,6 +171,8 @@ void ShardedSimulation::process_shard() {
   {
     const obs::ScopedTimer dispatch_span("dispatch");
     for (const auto id : members) {
+      GlobalModelMessage msg = server_->dispatch_to(id);
+      bytes_down.add(msg.model_state.size());
       ClientSlot s;
       s.id = id;
       s.fault = fault_plan_.decide(ticket_, /*attempt=*/0, id);
@@ -181,8 +184,7 @@ void ShardedSimulation::process_shard() {
         continue;
       }
       if (s.fault.kind == FaultKind::kStraggler) stragglers.add(1);
-      dispatched.push_back(server_->dispatch_to(id));
-      bytes_down.add(dispatched.back().model_state.size());
+      dispatched.push_back(std::move(msg));
       slots.push_back(std::move(s));
     }
   }
@@ -214,7 +216,6 @@ void ShardedSimulation::process_shard() {
     }
   }
 
-  shard_done_[next_shard_] = true;
   ++next_shard_;
   shards_c.add(1);
   shard_clients.add(members.size());
@@ -236,7 +237,6 @@ void ShardedSimulation::clear_round_state() {
   cohort_ids_.shrink_to_fit();
   defense_cohort_.clear();
   defense_cohort_.shrink_to_fit();
-  shard_done_.clear();
   fold_.reset();
   cohort_size_ = 0;
   num_shards_ = 0;
@@ -283,82 +283,62 @@ void ShardedSimulation::run(index_t rounds,
 
 // ---- Checkpoint / resume ----------------------------------------------------
 
+void ShardedSimulation::config_echo(ckpt::ConfigEcho echo) const {
+  echo.u64("population_seed", population_.config().seed)
+      .u64("population", population_.size())
+      .u64("seed", config_.seed)
+      .u64("cohort_size", config_.cohort_size)
+      .u64("shard_size", config_.shard_size)
+      .u8("sampler", static_cast<std::uint8_t>(config_.sampler))
+      .f64("quorum_fraction", static_cast<double>(config_.quorum_fraction))
+      // The fold is always example-weighted; a 0 here is a foreign writer.
+      .u8("weight_by_examples", 1);
+}
+
 std::uint64_t ShardedSimulation::checkpoint_generation() const {
-  // Monotone across rounds AND shards: a resting snapshot after round t-1
-  // numbers t·2^20, mid-round shard boundaries of the round with ticket t
-  // number t·2^20 + 1 + next_shard. Newest-first restore therefore always
-  // lands on the latest progress point.
-  return mid_round_ ? ticket_ * kMaxShardsPerRound + 1 + next_shard_
-                    : round_tickets_ * kMaxShardsPerRound;
+  return mid_round_ ? ckpt::Generation::mid_round(ticket_, next_shard_)
+                    : ckpt::Generation::at_rest(round_tickets_);
 }
 
 tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
-  // Counted BEFORE the obs capture so the snapshot records itself (the
-  // Simulation::encode_checkpoint contract).
-  static obs::Counter& saves = obs::counter("ckpt.save_total");
-  saves.add(1);
-
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
-    meta.u64(server_->round());
-    meta.u64(round_tickets_);
-    // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(population_.config().seed);
-    meta.u64(population_.size());
-    meta.u64(config_.seed);
-    meta.u64(config_.cohort_size);
-    meta.u64(config_.shard_size);
-    meta.u8(static_cast<std::uint8_t>(config_.sampler));
-    meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(1);  // weight-by-examples: the fold is always example-weighted
-    meta.u8(mid_round_ ? 1 : 0);
-    if (mid_round_) {
-      meta.u64(ticket_);
-      meta.u64(cohort_size_);
-      meta.u64(num_shards_);
-      meta.u64(next_shard_);
-      meta.u64(scan_pos_);
-      meta.u64(clients_done_);
-      meta.u64(fold_.accepted());
-      meta.u64(fold_.rejected());
-    }
-    builder.add("smeta", meta.take());
+  ckpt::SectionWriter meta;
+  meta.u64(server_->round());
+  meta.u64(round_tickets_);
+  config_echo(ckpt::ConfigEcho(meta));
+  meta.u8(mid_round_ ? 1 : 0);
+  if (mid_round_) {
+    meta.u64(ticket_);
+    meta.u64(cohort_size_);
+    meta.u64(num_shards_);
+    meta.u64(next_shard_);
+    meta.u64(scan_pos_);
+    meta.u64(clients_done_);
+    meta.u64(fold_.accepted());
+    meta.u64(fold_.rejected());
   }
-  builder.add("model", nn::serialize_state(server_->global_model()));
-  {
-    ckpt::SectionWriter rng;
-    rng.rng(rng_.state());
-    if (mid_round_) rng.rng(rng_at_round_start_);
-    builder.add("srng", rng.take());
-  }
+  ckpt::SnapshotBuilder builder =
+      ckpt::begin_snapshot(kSchema, std::move(meta), server_->global_model());
+  ckpt::SectionWriter rng;
+  rng.rng(rng_.state());
+  if (mid_round_) rng.rng(rng_at_round_start_);
+  builder.add("srng", rng.take());
   if (mid_round_) {
     ckpt::SectionWriter agg;
-    agg.bitset(shard_done_);
+    agg.bitset(shard_prefix(next_shard_, num_shards_));
     fold_.encode(agg);
     builder.add("agg", agg.take());
   }
-  builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
-  return builder.finish();
+  return ckpt::finish_snapshot(kSchema, builder);
 }
 
 void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   using Reason = CheckpointError::Reason;
 
-  // Decode and cross-check EVERYTHING before the first mutation, so a
-  // snapshot from the wrong federation (or a malformed section) leaves the
-  // live engine exactly as it was.
-  ckpt::SectionReader meta(snap.section("smeta"), "smeta");
+  ckpt::SnapshotReader reader(kSchema, snap);
+  ckpt::SectionReader& meta = reader.meta();
   const std::uint64_t round = meta.u64();
   const std::uint64_t tickets = meta.u64();
-  const std::uint64_t pop_seed = meta.u64();
-  const std::uint64_t pop_size = meta.u64();
-  const std::uint64_t sel_seed = meta.u64();
-  const std::uint64_t cohort_cfg = meta.u64();
-  const std::uint64_t shard_size = meta.u64();
-  const std::uint8_t sampler = meta.u8();
-  const double quorum = meta.f64();
-  const bool weighted = meta.u8() != 0;
+  config_echo(ckpt::ConfigEcho(meta));
   const bool mid = meta.u8() != 0;
   std::uint64_t ticket = 0, cohort = 0, num_shards = 0, next_shard = 0;
   std::uint64_t scan_pos = 0, clients_done = 0, rejected = 0;
@@ -373,21 +353,8 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     rejected = meta.u64();
   }
   meta.expect_end();
-  if (pop_seed != population_.config().seed || pop_size != population_.size() ||
-      sel_seed != config_.seed || cohort_cfg != config_.cohort_size ||
-      shard_size != config_.shard_size ||
-      sampler != static_cast<std::uint8_t>(config_.sampler) ||
-      quorum != static_cast<double>(config_.quorum_fraction) ||
-      !weighted) {
-    throw CheckpointError(
-        Reason::kStateMismatch,
-        "snapshot belongs to a differently configured sharded federation "
-        "(population seed " +
-            std::to_string(pop_seed) + ", " + std::to_string(pop_size) +
-            " clients, shard_size " + std::to_string(shard_size) + ")");
-  }
   if (mid && (next_shard > num_shards || ticket >= tickets ||
-              scan_pos > pop_size)) {
+              scan_pos > population_.size())) {
     throw CheckpointError(Reason::kStateMismatch,
                           "mid-round snapshot progress is inconsistent "
                           "(shard " +
@@ -401,39 +368,26 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   if (mid) rng_start = rng.rng();
   rng.expect_end();
 
-  std::vector<bool> done_bits;
   RoundFold::Saved folded;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
-    done_bits = agg.bitset();
+    const std::vector<bool> done_bits = agg.bitset();
     folded = RoundFold::decode(agg);
     agg.expect_end();
-    if (done_bits.size() != num_shards) {
+    if (done_bits.size() != num_shards ||
+        done_bits != shard_prefix(next_shard, num_shards)) {
       throw CheckpointError(Reason::kStateMismatch,
-                            "completed-shard bitmap holds " +
-                                std::to_string(done_bits.size()) +
-                                " bits for " + std::to_string(num_shards) +
-                                " shards");
-    }
-    // The fold is strictly in shard order, so progress must be a prefix.
-    for (std::uint64_t i = 0; i < done_bits.size(); ++i) {
-      if (done_bits[i] != (i < next_shard)) {
-        throw CheckpointError(Reason::kStateMismatch,
-                              "completed-shard bitmap is not the prefix "
-                              "next_shard implies");
-      }
+                            "completed-shard bitmap is not the prefix "
+                            "next_shard implies");
     }
   }
 
-  const tensor::ByteBuffer& model_bytes = snap.section("model");
-  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
-
-  ckpt::load_model_section(server_->global_model(), model_bytes);
-  server_->restore_round(round);
-  round_tickets_ = tickets;
-  rng_.set_state(rng_now);
-  clear_round_state();
-  if (mid) {
+  reader.apply(server_->global_model(), [&] {
+    server_->restore_round(round);
+    round_tickets_ = tickets;
+    rng_.set_state(rng_now);
+    clear_round_state();
+    if (!mid) return;
     ticket_ = ticket;
     rng_at_round_start_ = rng_start;
     cohort_size_ = cohort;
@@ -441,7 +395,6 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     next_shard_ = next_shard;
     scan_pos_ = scan_pos;
     clients_done_ = clients_done;
-    shard_done_ = std::move(done_bits);
     fold_.restore(std::move(folded), rejected);
     // Re-derive the cohort by replaying the selection from the round-start
     // RNG state; rng_ itself already holds the post-selection position.
@@ -452,25 +405,8 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     // assumption: begin_round is idempotent given unchanged model state).
     server_->begin_round();
     mid_round_ = true;
-  }
-  ckpt::apply_obs(obs_bytes);
-  obs::counter("ckpt.restore_total").add(1);
+  });
   if (mid) obs::counter("ckpt.restore.shard_midround").add(1);
-}
-
-void ShardedSimulation::restore_checkpoint(const tensor::ByteBuffer& bytes) {
-  apply_snapshot(ckpt::Snapshot::parse(bytes));
-}
-
-std::string ShardedSimulation::save_checkpoint(
-    ckpt::CheckpointManager& manager) {
-  return manager.save(checkpoint_generation(), encode_checkpoint());
-}
-
-std::uint64_t ShardedSimulation::resume_from(ckpt::CheckpointManager& manager) {
-  const ckpt::CheckpointManager::Loaded loaded = manager.load_latest_valid();
-  apply_snapshot(loaded.snapshot);
-  return server_->round();
 }
 
 }  // namespace oasis::fl

@@ -35,13 +35,16 @@
 // selection RNG state from the top of the round (so the cohort re-derives on
 // resume). A SIGKILL mid-shard loses at most one shard of work and the
 // resumed run is bit-identical to one that never crashed — the shard crash
-// tests prove it over 50 seeds.
+// tests prove it over 50 seeds. The shared snapshot policy lives in
+// ckpt/engine_codec.h; the shard cursor and scan position are this engine's.
 //
 // Fault semantics. The engine is single-attempt (no virtual clock, no
-// retry): dropout = lost, straggler = delivered-but-counted, corrupt/poison
-// damage the payload via FaultPlan::apply, duplicate folds the update twice
-// (the second screens as kDuplicate). At 10^6 clients per round the retry
-// machinery would dominate wall clock for semantics nobody observes.
+// retry): dropout = lost after its dispatch (counted in fl.bytes_dispatched,
+// as fl::Simulation counts it), straggler = delivered-but-counted,
+// corrupt/poison damage the payload via FaultPlan::apply, duplicate folds
+// the update twice (the second screens as kDuplicate). At 10^6 clients per
+// round the retry machinery would dominate wall clock for semantics nobody
+// observes.
 //
 // The engine assumes an HONEST server: begin_round() must be idempotent
 // given unchanged model state (mid-round resume re-invokes it to rebuild the
@@ -54,7 +57,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/manager.h"
+#include "ckpt/engine_codec.h"
 #include "fl/defense.h"
 #include "fl/fault.h"
 #include "fl/population.h"
@@ -131,14 +134,12 @@ using ShardHook = std::function<void(const ShardProgress&)>;
 using ClientHook =
     std::function<void(std::uint64_t client_id, index_t clients_done)>;
 
-class ShardedSimulation {
+class ShardedSimulation : public ckpt::Checkpointed<ShardedSimulation> {
  public:
-  /// Shards-per-round ceiling imposed by the checkpoint generation
-  /// numbering (generation = ticket·2^20 + shard).
-  static constexpr std::uint64_t kMaxShardsPerRound = 1ULL << 20;
-
   /// Throws ConfigError on shard_size == 0, cohort_size > population,
   /// quorum_fraction outside [0, 1], or a buffering server aggregator.
+  /// run_round throws ConfigError when a round's shard count overflows the
+  /// checkpoint generation stride (ckpt::Generation).
   ShardedSimulation(std::unique_ptr<Server> server,
                     VirtualPopulation population, ShardedConfig config);
 
@@ -185,35 +186,18 @@ class ShardedSimulation {
 
   // --- Checkpoint / resume -------------------------------------------------
   //
-  // Same container format and contract as fl::Simulation (sections are named
-  // differently — "smeta"/"srng" — so the two engines reject each other's
-  // snapshots). A snapshot taken at a shard boundary additionally carries an
-  // "agg" section: completed-shard bitmap + the RoundFold's partials (the
-  // screen tallies ride in "smeta"). Restoring it re-derives the cohort from
-  // the round-start RNG state and resumes the shard loop bit-exactly.
+  // Same container format, codec and contract as fl::Simulation; the
+  // sections are named "smeta"/"srng", so the two engines reject each
+  // other's snapshots. A shard-boundary snapshot adds "agg" (completed-shard
+  // bitmap + the RoundFold's partials); restoring it re-derives the cohort
+  // from the round-start RNG state and resumes the shard loop bit-exactly.
+  // resume_from returns the round IN FLIGHT for a mid-round snapshot.
 
-  /// Serializes the engine into an "oasis.ckpt/v1" buffer and bumps
-  /// ckpt.save_total (before the obs capture, so the snapshot counts
-  /// itself).
+  /// The snapshot as an "oasis.ckpt/v1" buffer (ckpt/engine_codec.h).
   [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
 
-  /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
-  /// (kStateMismatch for a snapshot from a differently configured
-  /// federation) and leaves live state untouched on validation failure.
-  void restore_checkpoint(const tensor::ByteBuffer& bytes);
-
-  /// encode_checkpoint() → manager.save(generation); returns the path.
-  /// Generations interleave rounds and shards monotonically:
-  /// ticket·2^20 + 1 + next_shard mid-round, round_tickets·2^20 at rest.
-  std::string save_checkpoint(ckpt::CheckpointManager& manager);
-
-  /// Restores from the manager's newest valid generation and returns the
-  /// protocol round to continue from (the round IN FLIGHT for a mid-round
-  /// snapshot). Throws CheckpointError{kNoValidGeneration} when the
-  /// directory holds nothing loadable.
-  std::uint64_t resume_from(ckpt::CheckpointManager& manager);
-
  private:
+  friend class ckpt::Checkpointed<ShardedSimulation>;
   /// Draws (or, on resume, replays) the round's cohort from `selection`
   /// and ticket_; returns its size.
   index_t derive_cohort(common::Rng& selection);
@@ -221,6 +205,7 @@ class ShardedSimulation {
   void process_shard();
   void collect_shard_members(std::vector<std::uint64_t>& out);
   void clear_round_state();
+  void config_echo(ckpt::ConfigEcho echo) const;
   [[nodiscard]] std::uint64_t checkpoint_generation() const;
   void apply_snapshot(const ckpt::Snapshot& snap);
 
@@ -251,7 +236,6 @@ class ShardedSimulation {
   /// Materialized only when the defense stack's mask stage requires the
   /// cohort (see set_defense_stack) — empty otherwise.
   std::vector<std::uint64_t> defense_cohort_;
-  std::vector<bool> shard_done_;           // completed-shard bitmap
   RoundFold fold_;                         // the round's aggregate so far
 };
 

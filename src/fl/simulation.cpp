@@ -1,12 +1,7 @@
 #include "fl/simulation.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
-#include "ckpt/codec.h"
-#include "ckpt/container.h"
-#include "ckpt/model_section.h"
-#include "ckpt/obs_state.h"
 #include "fl/client_stage.h"
 #include "fl/round_fold.h"
 #include "nn/model_io.h"
@@ -33,9 +28,7 @@ Simulation::Simulation(std::unique_ptr<Server> server,
                   "M=" << config_.clients_per_round << " > N="
                        << clients_.size());
   OASIS_CHECK_MSG(config_.max_attempts >= 1, "max_attempts must be >= 1");
-  OASIS_CHECK_MSG(
-      config_.quorum_fraction >= 0.0 && config_.quorum_fraction <= 1.0,
-      "quorum_fraction " << config_.quorum_fraction << " outside [0, 1]");
+  RoundFold::require_quorum_fraction(config_.quorum_fraction);
 }
 
 Client& Simulation::client(index_t i) {
@@ -187,117 +180,69 @@ void Simulation::run(index_t rounds,
 
 // ---- Checkpoint / resume ----------------------------------------------------
 
-tensor::ByteBuffer Simulation::encode_checkpoint() {
-  // Counted BEFORE the obs capture so the snapshot records itself: a
-  // straight-through run and a run resumed from this snapshot then agree on
-  // ckpt.save_total forever after.
-  static obs::Counter& saves = obs::counter("ckpt.save_total");
-  saves.add(1);
+constexpr ckpt::SnapshotSchema kSchema{"meta", /*obs=*/true};
 
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
-    meta.u64(server_->round());
-    meta.u64(round_tickets_);
-    meta.u64(clock_.now());
-    // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(config_.seed);
-    meta.u64(clients_.size());
-    meta.u64(config_.clients_per_round);
-    meta.f64(static_cast<double>(config_.quorum_fraction));
-    builder.add("meta", meta.take());
+void Simulation::config_echo(ckpt::ConfigEcho echo) const {
+  echo.u64("seed", config_.seed)
+      .u64("clients", clients_.size())
+      .u64("clients_per_round", config_.clients_per_round)
+      .f64("quorum_fraction", static_cast<double>(config_.quorum_fraction));
+}
+
+tensor::ByteBuffer Simulation::encode_checkpoint() {
+  ckpt::SectionWriter meta;
+  meta.u64(server_->round());
+  meta.u64(round_tickets_);
+  meta.u64(clock_.now());
+  config_echo(ckpt::ConfigEcho(meta));
+  ckpt::SnapshotBuilder builder =
+      ckpt::begin_snapshot(kSchema, std::move(meta), server_->global_model());
+  ckpt::SectionWriter rng;
+  rng.rng(rng_.state());
+  rng.u32(static_cast<std::uint32_t>(clients_.size()));
+  for (const auto& c : clients_) {
+    rng.u64(c->id());
+    rng.rng(c->rng_state());
   }
-  builder.add("model", nn::serialize_state(server_->global_model()));
-  {
-    ckpt::SectionWriter rng;
-    rng.rng(rng_.state());
-    rng.u32(static_cast<std::uint32_t>(clients_.size()));
-    for (const auto& c : clients_) {
-      rng.u64(c->id());
-      rng.rng(c->rng_state());
-    }
-    builder.add("rng", rng.take());
-  }
-  builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
-  return builder.finish();
+  builder.add("rng", rng.take());
+  return ckpt::finish_snapshot(kSchema, builder);
 }
 
 void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
-  using Reason = CheckpointError::Reason;
-
-  // Decode and cross-check EVERYTHING before the first mutation, so a
-  // snapshot from the wrong federation (or a malformed section) leaves the
-  // live simulation exactly as it was.
-  ckpt::SectionReader meta(snap.section("meta"), "meta");
+  ckpt::SnapshotReader reader(kSchema, snap);
+  ckpt::SectionReader& meta = reader.meta();
   const std::uint64_t round = meta.u64();
   const std::uint64_t tickets = meta.u64();
   const std::uint64_t clock_ticks = meta.u64();
-  const std::uint64_t seed = meta.u64();
-  const std::uint64_t num_clients = meta.u64();
-  const std::uint64_t clients_per_round = meta.u64();
-  const double quorum = meta.f64();
+  config_echo(ckpt::ConfigEcho(meta));
   meta.expect_end();
-  if (seed != config_.seed || num_clients != clients_.size() ||
-      clients_per_round != config_.clients_per_round ||
-      quorum != static_cast<double>(config_.quorum_fraction)) {
-    throw CheckpointError(
-        Reason::kStateMismatch,
-        "snapshot belongs to a differently configured federation (seed " +
-            std::to_string(seed) + ", " + std::to_string(num_clients) +
-            " clients)");
-  }
 
+  // Per client, in client order: u64 id + the rng state (4 words, spare,
+  // flag). A different client list or order is a different federation.
   ckpt::SectionReader rng(snap.section("rng"), "rng");
   const common::Rng::State sim_rng = rng.rng();
-  const std::uint32_t rng_clients = rng.u32();
-  if (rng_clients != clients_.size()) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          "snapshot carries RNG state for " +
-                              std::to_string(rng_clients) + " clients, have " +
-                              std::to_string(clients_.size()));
+  bool same_clients =
+      rng.count<std::uint32_t>(8 * (8 + 5 * 8 + 1)) == clients_.size();
+  std::vector<common::Rng::State> client_rngs;
+  for (std::size_t i = 0; same_clients && i < clients_.size(); ++i) {
+    same_clients = rng.u64() == clients_[i]->id();
+    client_rngs.push_back(rng.rng());
   }
-  std::unordered_map<std::uint64_t, Client*> by_id;
-  for (const auto& c : clients_) by_id.emplace(c->id(), c.get());
-  std::vector<std::pair<Client*, common::Rng::State>> client_rngs;
-  client_rngs.reserve(rng_clients);
-  for (std::uint32_t i = 0; i < rng_clients; ++i) {
-    const std::uint64_t id = rng.u64();
-    const common::Rng::State state = rng.rng();
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      throw CheckpointError(Reason::kStateMismatch,
-                            "snapshot RNG state for unknown client id " +
-                                std::to_string(id));
-    }
-    client_rngs.emplace_back(it->second, state);
+  if (!same_clients) {
+    throw CheckpointError(CheckpointError::Reason::kStateMismatch,
+                          "snapshot RNG states belong to another client list");
   }
   rng.expect_end();
 
-  const tensor::ByteBuffer& model_bytes = snap.section("model");
-  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
-
-  ckpt::load_model_section(server_->global_model(), model_bytes);
-  server_->restore_round(round);
-  round_tickets_ = tickets;
-  clock_.restore(clock_ticks);
-  rng_.set_state(sim_rng);
-  for (auto& [client, state] : client_rngs) client->restore_rng_state(state);
-  ckpt::apply_obs(obs_bytes);
-  obs::counter("ckpt.restore_total").add(1);
-}
-
-void Simulation::restore_checkpoint(const tensor::ByteBuffer& bytes) {
-  apply_snapshot(ckpt::Snapshot::parse(bytes));
-}
-
-std::string Simulation::save_checkpoint(ckpt::CheckpointManager& manager) {
-  return manager.save(server_->round(), encode_checkpoint());
-}
-
-std::uint64_t Simulation::resume_from(ckpt::CheckpointManager& manager) {
-  const ckpt::CheckpointManager::Loaded loaded = manager.load_latest_valid();
-  apply_snapshot(loaded.snapshot);
-  return server_->round();
+  reader.apply(server_->global_model(), [&] {
+    server_->restore_round(round);
+    round_tickets_ = tickets;
+    clock_.restore(clock_ticks);
+    rng_.set_state(sim_rng);
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      clients_[i]->restore_rng_state(client_rngs[i]);
+    }
+  });
 }
 
 }  // namespace oasis::fl

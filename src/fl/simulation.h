@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/manager.h"
+#include "ckpt/engine_codec.h"
 #include "fl/client.h"
 #include "fl/defense.h"
 #include "fl/fault.h"
@@ -51,7 +51,7 @@ struct SimulationConfig {
 };
 
 /// In-process federation of one server and N clients.
-class Simulation {
+class Simulation : public ckpt::Checkpointed<Simulation> {
  public:
   Simulation(std::unique_ptr<Server> server,
              std::vector<std::unique_ptr<Client>> clients,
@@ -103,28 +103,17 @@ class Simulation {
   // therefore makes a resumed run bit-identical to one that never stopped,
   // at any thread count — the contract the crash harness proves. The one
   // exclusion: counters under the "ckpt.restore" prefix, which record the
-  // restore itself (see ckpt/obs_state.h).
+  // restore itself (see ckpt/engine_codec.h).
 
-  /// Serializes the simulation into an "oasis.ckpt/v1" container buffer and
-  /// bumps the `ckpt.save_total` counter (before capturing obs, so the
-  /// snapshot already counts itself).
+  /// The snapshot as an "oasis.ckpt/v1" buffer (ckpt/engine_codec.h).
+  /// restore_checkpoint, save_checkpoint (generation = protocol round) and
+  /// resume_from come from ckpt::Checkpointed.
   [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
 
-  /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
-  /// (kStateMismatch when the snapshot belongs to a differently configured
-  /// federation) and leaves live state untouched on validation failure.
-  void restore_checkpoint(const tensor::ByteBuffer& bytes);
-
-  /// encode_checkpoint() → manager.save(protocol round); returns the path.
-  std::string save_checkpoint(ckpt::CheckpointManager& manager);
-
-  /// Restores from the manager's newest VALID generation (corrupt newer
-  /// generations are skipped, see CheckpointManager::load_latest_valid) and
-  /// returns the protocol round to continue from. Throws CheckpointError
-  /// {kNoValidGeneration} when the directory holds nothing loadable.
-  std::uint64_t resume_from(ckpt::CheckpointManager& manager);
-
  private:
+  friend class ckpt::Checkpointed<Simulation>;
+  void config_echo(ckpt::ConfigEcho echo) const;
+  std::uint64_t checkpoint_generation() const { return server_->round(); }
   void apply_snapshot(const ckpt::Snapshot& snap);
   std::unique_ptr<Server> server_;
   std::vector<std::unique_ptr<Client>> clients_;

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "ckpt/codec.h"
-#include "ckpt/model_section.h"
+#include "ckpt/engine_codec.h"
 #include "common/error.h"
-#include "nn/model_io.h"
 #include "obs/obs.h"
 
 namespace oasis::net {
@@ -21,11 +19,9 @@ obs::Counter& frame_error_counter(NetError::Reason reason) {
                       NetError::reason_name(reason));
 }
 
-/// Generation-number stride between resting snapshots: resting state after
-/// protocol round t numbers t·2^20, a mid-round snapshot of round t with
-/// fold frontier f numbers t·2^20 + 1 + f — the shard engine's monotone
-/// numbering, so newest-first restore always lands on the latest progress.
-constexpr std::uint64_t kMaxFoldsPerRound = 1ULL << 20;
+/// Server snapshots keep no obs section: the serving registry is socket
+/// timing, outside the resume contract.
+constexpr ckpt::SnapshotSchema kSchema{"nmeta", /*obs=*/false};
 
 }  // namespace
 
@@ -67,9 +63,8 @@ FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
                   "max_connections " << config_.max_connections
                                      << " below cohort_size "
                                      << config_.cohort_size);
-  OASIS_CHECK_MSG(static_cast<std::uint64_t>(config_.cohort_size) <
-                      kMaxFoldsPerRound,
-                  "cohort_size overflows the checkpoint generation stride");
+  fl::RoundFold::require_quorum_fraction(config_.quorum_fraction);
+  ckpt::Generation::require_room(config_.cohort_size, "folds (cohort_size)");
   fl::RoundFold::require_streaming(core_);
   if (!now_) now_ = steady_now_ms;
   if (config_.selection_seed) {
@@ -679,43 +674,43 @@ void FlServer::finish_serving() {
 
 // ---- Checkpoint / restore (DESIGN.md §5j) -----------------------------------
 
+void FlServer::config_echo(ckpt::ConfigEcho echo) const {
+  echo.u64("cohort_size", config_.cohort_size)
+      .u64("rounds", config_.rounds)
+      .f64("quorum_fraction", static_cast<double>(config_.quorum_fraction))
+      .u8("selection_seeded", selection_ ? 1 : 0);
+}
+
 std::uint64_t FlServer::checkpoint_generation() const {
-  return round_open_ ? round_id_ * kMaxFoldsPerRound + 1 + fold_frontier_
-                     : core_.round() * kMaxFoldsPerRound;
+  return round_open_ ? ckpt::Generation::mid_round(round_id_, fold_frontier_)
+                     : ckpt::Generation::at_rest(core_.round());
 }
 
 tensor::ByteBuffer FlServer::encode_checkpoint() {
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
-    meta.u64(core_.round());
-    meta.u64(served_);
-    // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(config_.cohort_size);
-    meta.u64(config_.rounds);
-    meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(selection_ ? 1 : 0);
-    meta.u8(round_open_ ? 1 : 0);
-    if (round_open_) {
-      meta.u64(round_id_);
-      meta.u64(round_order_.size());
-      for (const auto id : round_order_) meta.u64(id);
-      meta.u64(fold_frontier_);
-      meta.u64(fold_.accepted());
-      // FOLDED inner ids only (the duplicate screen's id space) — sorted so
-      // identical state always produces identical snapshot bytes. Updates
-      // screened-accepted but still parked behind the fold frontier are NOT
-      // recorded: they are absent from the serialized partials, so after a
-      // restore their senders must be able to resend without the duplicate
-      // screen bouncing them.
-      std::vector<std::uint64_t> folded = folded_inner_;
-      std::sort(folded.begin(), folded.end());
-      meta.u64(folded.size());
-      for (const auto id : folded) meta.u64(id);
-    }
-    builder.add("nmeta", meta.take());
+  ckpt::SectionWriter meta;
+  meta.u64(core_.round());
+  meta.u64(served_);
+  config_echo(ckpt::ConfigEcho(meta));
+  meta.u8(round_open_ ? 1 : 0);
+  if (round_open_) {
+    meta.u64(round_id_);
+    meta.u64(round_order_.size());
+    for (const auto id : round_order_) meta.u64(id);
+    meta.u64(fold_frontier_);
+    meta.u64(fold_.accepted());
+    // FOLDED inner ids only (the duplicate screen's id space) — sorted so
+    // identical state always produces identical snapshot bytes. Updates
+    // screened-accepted but still parked behind the fold frontier are NOT
+    // recorded: they are absent from the serialized partials, so after a
+    // restore their senders must be able to resend without the duplicate
+    // screen bouncing them.
+    std::vector<std::uint64_t> folded = folded_inner_;
+    std::sort(folded.begin(), folded.end());
+    meta.u64(folded.size());
+    for (const auto id : folded) meta.u64(id);
   }
-  builder.add("model", nn::serialize_state(core_.global_model()));
+  ckpt::SnapshotBuilder builder =
+      ckpt::begin_snapshot(kSchema, std::move(meta), core_.global_model());
   if (selection_) {
     ckpt::SectionWriter rng;
     rng.rng(selection_->state());
@@ -726,57 +721,44 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
     fold_.encode(agg);
     builder.add("agg", agg.take());
   }
-  return builder.finish();
+  return ckpt::finish_snapshot(kSchema, builder);
 }
 
 void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
-  using Reason = CheckpointError::Reason;
 
-  // Decode and cross-check EVERYTHING before the first mutation, so a
-  // snapshot from the wrong federation (or a malformed section) leaves the
-  // live server exactly as it was.
-  ckpt::SectionReader meta(snap.section("nmeta"), "nmeta");
+  ckpt::SnapshotReader reader(kSchema, snap);
+  ckpt::SectionReader& meta = reader.meta();
   const std::uint64_t round = meta.u64();
   const std::uint64_t served = meta.u64();
-  const std::uint64_t cohort_cfg = meta.u64();
-  const std::uint64_t rounds_cfg = meta.u64();
-  const double quorum = meta.f64();
-  const bool has_selection = meta.u8() != 0;
+  config_echo(ckpt::ConfigEcho(meta));
   const bool mid = meta.u8() != 0;
   std::uint64_t round_id = 0, frontier = 0;
   std::vector<std::uint64_t> order;
   std::vector<std::uint64_t> accepted_ids;
   if (mid) {
     round_id = meta.u64();
-    const std::uint64_t n = meta.u64();
-    order.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) order.push_back(meta.u64());
+    order.resize(meta.count(64));
+    for (auto& id : order) id = meta.u64();
     frontier = meta.u64();
     meta.u64();  // accepted: the fold's own count, restored from "agg"
-    const std::uint64_t na = meta.u64();
-    accepted_ids.reserve(na);
-    for (std::uint64_t i = 0; i < na; ++i) accepted_ids.push_back(meta.u64());
+    accepted_ids.resize(meta.count(64));
+    for (auto& id : accepted_ids) id = meta.u64();
   }
   meta.expect_end();
-  if (cohort_cfg != config_.cohort_size || rounds_cfg != config_.rounds ||
-      quorum != static_cast<double>(config_.quorum_fraction) ||
-      has_selection != selection_.has_value()) {
+  // The order must be the cohort: cohort_size distinct member ids.
+  if (mid && (order.size() != config_.cohort_size ||
+              std::unordered_set<std::uint64_t>(order.begin(), order.end())
+                      .size() != order.size() ||
+              frontier > order.size() || round_id != round)) {
     throw CheckpointError(
-        Reason::kStateMismatch,
-        "snapshot belongs to a differently configured federation (cohort " +
-            std::to_string(cohort_cfg) + ", " + std::to_string(rounds_cfg) +
-            " rounds)");
-  }
-  if (mid && (frontier > order.size() || round_id != round)) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          "mid-round snapshot progress is inconsistent "
-                          "(frontier " +
-                              std::to_string(frontier) + " of " +
-                              std::to_string(order.size()) + " members)");
+        CheckpointError::Reason::kStateMismatch,
+        "mid-round snapshot progress is inconsistent (frontier " +
+            std::to_string(frontier) + " of " + std::to_string(order.size()) +
+            " members)");
   }
 
   common::Rng::State sel_state{};
-  if (has_selection) {
+  if (selection_) {
     ckpt::SectionReader rng(snap.section("nrng"), "nrng");
     sel_state = rng.rng();
     rng.expect_end();
@@ -789,15 +771,13 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     agg.expect_end();
   }
 
-  const tensor::ByteBuffer& model_bytes = snap.section("model");
-
-  ckpt::load_model_section(core_.global_model(), model_bytes);
-  core_.restore_round(round);
-  served_ = served;
-  if (has_selection) selection_->set_state(sel_state);
-  clear_round();
-  accepts_since_ckpt_ = 0;
-  if (mid) {
+  reader.apply(core_.global_model(), [&] {
+    core_.restore_round(round);
+    served_ = served;
+    if (selection_) selection_->set_state(sel_state);
+    clear_round();
+    accepts_since_ckpt_ = 0;
+    if (!mid) return;
     round_open_ = true;
     round_id_ = round_id;
     round_order_ = std::move(order);
@@ -820,7 +800,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     round_started_ms_ = now;
     round_deadline_ms_ = now + config_.round_timeout_ms;
     core_.begin_round();
-  }
+  });
 }
 
 std::uint64_t FlServer::resume_from() {

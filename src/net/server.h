@@ -35,7 +35,9 @@
 // set, after which the server re-binds the same port and reconnecting
 // clients resolve their in-flight updates via the kResume handshake. A
 // SIGKILL therefore loses at most the accepts since the last snapshot, and
-// those are re-requested — never double-counted — on resume.
+// those are re-requested — never double-counted — on resume. Snapshots go
+// through the codec every engine shares (ckpt/engine_codec.h); the fold
+// frontier and cohort order are this server's own "nmeta" fields.
 //
 // Determinism: with `selection` seeded, the aggregation order replays
 // fl::Simulation's cohort permutation (common::Rng::sample_without_
@@ -53,7 +55,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "ckpt/manager.h"
+#include "ckpt/engine_codec.h"
 #include "common/rng.h"
 #include "fl/round_fold.h"
 #include "fl/server.h"
@@ -133,7 +135,8 @@ class FlServer {
   using EventHook = std::function<void(Event)>;
 
   /// `core` must outlive the FlServer. `now` defaults to the steady clock.
-  /// Throws ConfigError when core.aggregator() buffers the cohort.
+  /// Throws ConfigError when core.aggregator() buffers the cohort or
+  /// config.quorum_fraction lies outside [0, 1].
   FlServer(fl::Server& core, FlServerConfig config, TimeSource now = {});
   ~FlServer();
 
@@ -158,8 +161,9 @@ class FlServer {
   /// already-folded members are told kAccepted instead of re-collected.
   /// Throws CheckpointError (kNoValidGeneration when the directory holds no
   /// loadable snapshot; kStateMismatch when the snapshot belongs to a
-  /// differently configured federation). Returns the restored protocol
-  /// round.
+  /// differently configured federation or its round progress is
+  /// inconsistent; kMissingSection for another engine's snapshot) and
+  /// leaves the server untouched. Returns the restored protocol round.
   std::uint64_t resume_from();
 
   /// One event-loop iteration: poll up to `timeout_ms`, pump socket IO,
@@ -231,6 +235,7 @@ class FlServer {
   /// Snapshot of the complete serving state (model, round ticket, fold
   /// frontier, accumulator partials, accepted ids, selection RNG).
   [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
+  void config_echo(ckpt::ConfigEcho echo) const;
   void apply_snapshot(const ckpt::Snapshot& snap);
   [[nodiscard]] std::uint64_t checkpoint_generation() const;
   /// Attempts a durable save; a filesystem failure tallies

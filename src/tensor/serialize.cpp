@@ -12,8 +12,7 @@ namespace {
 constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 
 void write_u64(std::uint64_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  append_bytes(out, &v, sizeof(v));
 }
 
 // All read helpers walk the logical payload [0, end); `end` excludes the
@@ -80,6 +79,12 @@ std::size_t verify_trailer(const ByteBuffer& in) {
 
 }  // namespace
 
+void append_bytes(ByteBuffer& out, const void* p, std::size_t n) {
+  const std::size_t off = out.size();
+  out.resize(off + n);
+  if (n != 0) std::memcpy(out.data() + off, p, n);
+}
+
 void write_tensor(const Tensor& t, ByteBuffer& out) {
   write_u64(t.rank(), out);
   for (const auto d : t.shape()) write_u64(d, out);
@@ -102,8 +107,7 @@ ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
   write_u64(tensors.size(), out);
   for (const auto& t : tensors) write_tensor(t, out);
   const std::uint32_t crc = oasis::common::crc32c(out.data(), out.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&crc);
-  out.insert(out.end(), p, p + kCrcBytes);
+  append_bytes(out, &crc, kCrcBytes);
   return out;
 }
 

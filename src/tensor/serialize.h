@@ -28,6 +28,11 @@ namespace oasis::tensor {
 
 using ByteBuffer = std::vector<std::uint8_t>;
 
+/// Appends `n` bytes at `p` to `out` by resize + memcpy: a vector::insert
+/// into a fresh buffer draws a false -Wstringop-overflow from GCC 12. Out of
+/// line so it is never inlined next to a buffer's construction.
+void append_bytes(ByteBuffer& out, const void* p, std::size_t n);
+
 /// Appends a serialized tensor to `out`.
 void write_tensor(const Tensor& t, ByteBuffer& out);
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,8 +25,10 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "fl/client.h"
+#include "fl/population.h"
 #include "fl/preprocessor.h"
 #include "fl/server.h"
+#include "fl/shard.h"
 #include "fl/simulation.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
@@ -250,6 +253,60 @@ TEST(Codec, ShortAndTrailingBytesAreMalformedSection) {
 
   SectionReader trailing_r(payload, "t");
   EXPECT_THROW(trailing_r.expect_end(), CheckpointError);  // 4 bytes unread
+}
+
+void expect_malformed(const std::function<void()>& read) {
+  try {
+    read();
+    FAIL() << "hostile count accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), Reason::kMalformedSection);
+  }
+}
+
+TEST(Codec, CountIsBoundedByTheBytesLeft) {
+  SectionWriter w;
+  w.u32(3);
+  for (std::uint64_t v : {1, 2, 3}) w.u64(v);
+  const ByteBuffer fits = w.take();
+  SectionReader ok(fits, "fits");
+  EXPECT_EQ(ok.count<std::uint32_t>(64), 3u);
+
+  // One element more than the bytes hold.
+  SectionWriter over;
+  over.u32(4);
+  for (std::uint64_t v : {1, 2, 3}) over.u64(v);
+  const ByteBuffer over_bytes = over.take();
+  SectionReader over_r(over_bytes, "over");
+  expect_malformed([&] { (void)over_r.count<std::uint32_t>(64); });
+
+  // A count whose byte size would wrap a 64-bit product.
+  SectionWriter wraps;
+  wraps.u64(~std::uint64_t{0});
+  wraps.u64(0);
+  const ByteBuffer wraps_bytes = wraps.take();
+  SectionReader wraps_r(wraps_bytes, "wraps");
+  expect_malformed([&] { (void)wraps_r.count(64); });
+}
+
+TEST(Codec, BitsetRoundTripsAndRefusesAWrappingBitCount) {
+  const std::vector<bool> bits = {true, false, true, true, false,
+                                  false, false, true, true, false};
+  SectionWriter w;
+  w.bitset(bits);
+  const ByteBuffer payload = w.take();
+  SectionReader r(payload, "bits");
+  EXPECT_EQ(r.bitset(), bits);
+  r.expect_end();
+
+  // 2^64-1 bits: (n+7)/8 wraps to 0 bytes, so a reader that sizes from the
+  // wrapped byte count would index far past the buffer.
+  SectionWriter hostile;
+  hostile.u64(~std::uint64_t{0});
+  hostile.u8(0xFF);
+  const ByteBuffer lie = hostile.take();
+  SectionReader hr(lie, "agg");
+  expect_malformed([&] { (void)hr.bitset(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +557,96 @@ TEST(SimulationCkpt, CorruptedSimulationSnapshotsAreAllTyped) {
     EXPECT_THROW(Snapshot::parse(std::move(damaged)), CheckpointError)
         << "bit flip at " << pos;
   }
+}
+
+/// `bytes` re-sealed with section `name` replaced by `payload`: every CRC
+/// passes, so only the decoder stands between the lie and the live engine.
+ByteBuffer with_section(const ByteBuffer& bytes, const std::string& name,
+                        const ByteBuffer& payload) {
+  const Snapshot snap = Snapshot::parse(bytes);
+  SnapshotBuilder builder;
+  for (const auto& n : snap.names()) {
+    builder.add(n, n == name ? payload : snap.section(n));
+  }
+  return builder.finish();
+}
+
+TEST(SimulationCkpt, HostileObsCountIsMalformedAndLeavesStateUntouched) {
+  obs::Registry::global().reset();
+  fl::Simulation source = make_federation(33);
+  source.run(2);
+  SectionWriter obs_lie;
+  obs_lie.u32(0xFFFFFFFFu);  // 2^32-1 counters, none present
+  const ByteBuffer hostile =
+      with_section(source.encode_checkpoint(), "obs", obs_lie.take());
+
+  fl::Simulation live = make_federation(33);
+  live.run(1);
+  const ByteBuffer before = nn::serialize_state(live.server().global_model());
+  const std::uint64_t rounds_before = obs::counter("fl.rounds").value();
+  try {
+    live.restore_checkpoint(hostile);
+    FAIL() << "hostile obs count accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), Reason::kMalformedSection);
+  }
+  EXPECT_EQ(nn::serialize_state(live.server().global_model()), before);
+  EXPECT_EQ(live.server().round(), 1u);
+  EXPECT_EQ(obs::counter("fl.rounds").value(), rounds_before);
+}
+
+fl::VirtualPopulationConfig sharded_population() {
+  fl::VirtualPopulationConfig cfg;
+  cfg.num_clients = 12;
+  cfg.seed = 0xBEEF;
+  cfg.num_classes = 4;
+  cfg.height = cfg.width = 8;
+  cfg.examples_per_client = 6;
+  cfg.batch_size = 3;
+  cfg.factory = [] {
+    common::Rng init(0x5EED);
+    return nn::make_mlp({3, 8, 8}, {8}, 4, init);
+  };
+  return cfg;
+}
+
+fl::ShardedSimulation make_sharded() {
+  fl::ShardedConfig cfg;
+  cfg.cohort_size = 6;
+  cfg.shard_size = 2;
+  auto server = std::make_unique<fl::Server>(sharded_population().factory(),
+                                             /*learning_rate=*/0.1);
+  return fl::ShardedSimulation(std::move(server),
+                               fl::VirtualPopulation(sharded_population()),
+                               cfg);
+}
+
+TEST(ShardedCkpt, HostileBitCountIsMalformedAndLeavesStateUntouched) {
+  obs::Registry::global().reset();
+  fl::ShardedSimulation source = make_sharded();
+  ByteBuffer mid;
+  source.set_shard_hook([&](const fl::ShardProgress& p) {
+    if (p.shard == 0) mid = source.encode_checkpoint();
+  });
+  source.run(1);
+  ASSERT_TRUE(Snapshot::parse(mid).has("agg"));
+  SectionWriter agg_lie;
+  agg_lie.u64(~std::uint64_t{0});  // 2^64-1 completed-shard bits
+  agg_lie.u8(0xFF);
+  const ByteBuffer hostile = with_section(mid, "agg", agg_lie.take());
+
+  fl::ShardedSimulation live = make_sharded();
+  live.run(1);
+  const ByteBuffer before = nn::serialize_state(live.server().global_model());
+  try {
+    live.restore_checkpoint(hostile);
+    FAIL() << "hostile bit count accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), Reason::kMalformedSection);
+  }
+  EXPECT_EQ(nn::serialize_state(live.server().global_model()), before);
+  EXPECT_EQ(live.server().round(), 1u);
+  EXPECT_FALSE(live.mid_round());
 }
 
 TEST(SimulationCkpt, SaveAndResumeThroughManagerPicksNewestValid) {

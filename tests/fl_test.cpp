@@ -245,6 +245,22 @@ TEST(Simulation, ValidatesConfiguration) {
   EXPECT_THROW(Simulation(std::move(server), std::move(clients),
                           SimulationConfig{/*clients_per_round=*/5}),
                Error);
+
+  // A quorum outside [0, 1] is a ConfigError at construction, as in the
+  // sharded and socket engines — not a failure at the first round.
+  for (const real quorum : {1.5, -0.1}) {
+    std::vector<std::unique_ptr<Client>> one;
+    one.push_back(std::make_unique<Client>(
+        0, dataset, tiny_factory(61), 2,
+        std::make_shared<IdentityPreprocessor>(), common::Rng(1)));
+    SimulationConfig cfg;
+    cfg.quorum_fraction = quorum;
+    EXPECT_THROW(
+        Simulation(std::make_unique<Server>(tiny_factory(61)(), 0.1),
+                   std::move(one), cfg),
+        ConfigError)
+        << "quorum_fraction " << quorum;
+  }
 }
 
 TEST(Client, SingleLocalStepPseudoGradientEqualsRawGradient) {

@@ -15,9 +15,12 @@
 #include <memory>
 #include <vector>
 
+#include "ckpt/io.h"
 #include "ckpt/manager.h"
 #include "common/error.h"
 #include "data/synthetic.h"
+#include "fl/population.h"
+#include "fl/shard.h"
 #include "fl/simulation.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -1130,6 +1133,221 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   EXPECT_GE(resumed, 3u);
   EXPECT_GE(clients[1]->cached_resends() + clients[2]->cached_resends(), 2u);
   fs::remove_all(root);
+}
+
+TEST(NetServer, QuorumOutsideUnitIntervalIsRefusedAtConstruction) {
+  fl::Server core(tiny_factory(5)(), /*learning_rate=*/0.1);
+  for (const real quorum : {1.5, -0.1}) {
+    FlServerConfig cfg;
+    cfg.quorum_fraction = quorum;
+    EXPECT_THROW(FlServer(core, cfg), ConfigError) << "quorum " << quorum;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot refusal: hostile progress and foreign engines
+// ---------------------------------------------------------------------------
+
+/// A per-test checkpoint directory under the gtest temp root.
+struct CkptDir {
+  explicit CkptDir(const std::string& tag)
+      : path((std::filesystem::path(::testing::TempDir()) /
+              ("oasis_net_ckpt_" + tag))
+                 .string()) {
+    std::filesystem::remove_all(path);
+  }
+  ~CkptDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+/// The generation-0 resting snapshot FlServer::listen() writes.
+tensor::ByteBuffer net_snapshot(const FlServerConfig& base,
+                                const std::string& tag) {
+  CkptDir dir(tag);
+  ckpt::CheckpointManager manager(dir.path);
+  fl::Server core(tiny_factory(5)(), /*learning_rate=*/0.1);
+  FlServerConfig cfg = base;
+  cfg.checkpoint = &manager;
+  FlServer server(core, cfg);
+  server.listen("127.0.0.1", 0);
+  return ckpt::read_file(manager.path_for(0));
+}
+
+/// A mid-round "nmeta" matching `cfg`: round 0, `order_count` claimed for
+/// the cohort order `order`, nothing folded yet.
+tensor::ByteBuffer mid_round_nmeta(const FlServerConfig& cfg,
+                                   std::uint64_t order_count,
+                                   const std::vector<std::uint64_t>& order) {
+  ckpt::SectionWriter w;
+  w.u64(0);  // protocol round
+  w.u64(0);  // served
+  w.u64(cfg.cohort_size);
+  w.u64(cfg.rounds);
+  w.f64(cfg.quorum_fraction);
+  w.u8(0);  // no selection seed
+  w.u8(1);  // mid-round
+  w.u64(0);  // round id
+  w.u64(order_count);
+  for (const auto id : order) w.u64(id);
+  w.u64(0);  // fold frontier
+  w.u64(0);  // accepted
+  w.u64(0);  // folded inner ids
+  return w.take();
+}
+
+/// `bytes` re-sealed with section `name` replaced: every CRC passes.
+tensor::ByteBuffer with_section(const tensor::ByteBuffer& bytes,
+                                const std::string& name,
+                                const tensor::ByteBuffer& payload) {
+  const ckpt::Snapshot snap = ckpt::Snapshot::parse(bytes);
+  ckpt::SnapshotBuilder builder;
+  for (const auto& n : snap.names()) {
+    builder.add(n, n == name ? payload : snap.section(n));
+  }
+  return builder.finish();
+}
+
+/// Writes `snapshot` into a fresh directory, resumes a FlServer of config
+/// `base` from it — its core at round 3 with weights no snapshot here
+/// carries — and demands a typed refusal of `want` that leaves the round and
+/// model bytes as they were.
+void expect_net_refuses(const FlServerConfig& base,
+                        const tensor::ByteBuffer& snapshot,
+                        CheckpointError::Reason want, const std::string& tag) {
+  CkptDir dir(tag);
+  ckpt::CheckpointManager manager(dir.path);
+  manager.save(7, snapshot);
+  fl::Server core(tiny_factory(9)(), /*learning_rate=*/0.1);
+  core.restore_round(3);
+  FlServerConfig cfg = base;
+  cfg.checkpoint = &manager;
+  FlServer server(core, cfg);
+  const tensor::ByteBuffer before = nn::serialize_state(core.global_model());
+  try {
+    (void)server.resume_from();
+    ADD_FAILURE() << tag << ": snapshot accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), want) << tag << ": " << e.what();
+  }
+  EXPECT_EQ(core.round(), 3u) << tag;
+  EXPECT_EQ(nn::serialize_state(core.global_model()), before) << tag;
+}
+
+TEST(NetRestart, HostileOrderCountIsMalformedAndLeavesStateUntouched) {
+  const FlServerConfig cfg;
+  const tensor::ByteBuffer hostile =
+      with_section(net_snapshot(cfg, "hostile_src"), "nmeta",
+                   mid_round_nmeta(cfg, std::uint64_t{1} << 61, {}));
+  expect_net_refuses(cfg, hostile, CheckpointError::Reason::kMalformedSection,
+                     "hostile_order");
+}
+
+TEST(NetRestart, OrderThatIsNotTheCohortIsRefused) {
+  FlServerConfig cfg;
+  cfg.cohort_size = 2;
+  const tensor::ByteBuffer resting = net_snapshot(cfg, "order_src");
+  for (const auto& order : {std::vector<std::uint64_t>{4},
+                            std::vector<std::uint64_t>{4, 5, 6},
+                            std::vector<std::uint64_t>{4, 4}}) {
+    expect_net_refuses(cfg,
+                       with_section(resting, "nmeta",
+                                    mid_round_nmeta(cfg, order.size(), order)),
+                       CheckpointError::Reason::kStateMismatch,
+                       "order_" + std::to_string(order.size()) + "_" +
+                           std::to_string(order.back()));
+  }
+}
+
+// Every engine refuses the other two engines' snapshots and a snapshot of
+// its own kind from a differently configured federation — typed, with its
+// round and model bytes unchanged.
+TEST(CrossEngineCkpt, EachEngineRefusesForeignAndMismatchedSnapshots) {
+  using Reason = CheckpointError::Reason;
+  obs::Registry::global().reset();
+
+  // The materialized engine over three tiny clients.
+  const auto make_sim = [](std::uint64_t seed) {
+    std::vector<std::unique_ptr<fl::Client>> clients;
+    for (std::uint64_t id = 0; id < 3; ++id) clients.push_back(make_client(id));
+    return fl::Simulation(
+        std::make_unique<fl::Server>(tiny_factory(5)(), /*learning_rate=*/0.1),
+        std::move(clients), fl::SimulationConfig{/*clients_per_round=*/2, seed});
+  };
+  // The sharded engine over a virtual population of the same model shape.
+  const auto make_sharded = [](index_t shard_size) {
+    fl::VirtualPopulationConfig pop;
+    pop.num_clients = 6;
+    pop.num_classes = 4;
+    pop.height = pop.width = 8;
+    pop.examples_per_client = 4;
+    pop.batch_size = 2;
+    pop.factory = tiny_factory(5);
+    fl::ShardedConfig cfg;
+    cfg.cohort_size = 3;
+    cfg.shard_size = shard_size;
+    return fl::ShardedSimulation(
+        std::make_unique<fl::Server>(tiny_factory(5)(), /*learning_rate=*/0.1),
+        fl::VirtualPopulation(pop), cfg);
+  };
+
+  fl::Simulation sim_src = make_sim(7);
+  sim_src.run(1);
+  const tensor::ByteBuffer sim_snap = sim_src.encode_checkpoint();
+  fl::Simulation sim_other = make_sim(8);
+  const tensor::ByteBuffer sim_mismatched = sim_other.encode_checkpoint();
+
+  fl::ShardedSimulation shard_src = make_sharded(2);
+  shard_src.run(1);
+  const tensor::ByteBuffer shard_snap = shard_src.encode_checkpoint();
+  fl::ShardedSimulation shard_other = make_sharded(3);
+  const tensor::ByteBuffer shard_mismatched = shard_other.encode_checkpoint();
+
+  const FlServerConfig net_cfg;
+  FlServerConfig net_other_cfg;
+  net_other_cfg.rounds = 5;
+  const tensor::ByteBuffer net_snap = net_snapshot(net_cfg, "x_net");
+  const tensor::ByteBuffer net_mismatched =
+      net_snapshot(net_other_cfg, "x_net_other");
+
+  // In-process engines: restore_checkpoint must throw `want` and leave the
+  // round and model bytes exactly as they were.
+  const auto expect_refused = [](auto& engine, const tensor::ByteBuffer& snap,
+                                 Reason want, const char* what) {
+    const std::uint64_t round = engine.server().round();
+    const tensor::ByteBuffer before =
+        nn::serialize_state(engine.server().global_model());
+    try {
+      engine.restore_checkpoint(snap);
+      ADD_FAILURE() << what << ": snapshot accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.reason(), want) << what << ": " << e.what();
+    }
+    EXPECT_EQ(engine.server().round(), round) << what;
+    EXPECT_EQ(nn::serialize_state(engine.server().global_model()), before)
+        << what;
+  };
+
+  fl::Simulation sim = make_sim(7);
+  sim.run(2);
+  expect_refused(sim, shard_snap, Reason::kMissingSection, "sim <- sharded");
+  expect_refused(sim, net_snap, Reason::kMissingSection, "sim <- net");
+  expect_refused(sim, sim_mismatched, Reason::kStateMismatch,
+                 "sim <- other sim");
+
+  fl::ShardedSimulation sharded = make_sharded(2);
+  sharded.run(2);
+  expect_refused(sharded, sim_snap, Reason::kMissingSection,
+                 "sharded <- sim");
+  expect_refused(sharded, net_snap, Reason::kMissingSection,
+                 "sharded <- net");
+  expect_refused(sharded, shard_mismatched, Reason::kStateMismatch,
+                 "sharded <- other sharded");
+
+  expect_net_refuses(net_cfg, sim_snap, Reason::kMissingSection, "net_sim");
+  expect_net_refuses(net_cfg, shard_snap, Reason::kMissingSection,
+                     "net_sharded");
+  expect_net_refuses(net_cfg, net_mismatched, Reason::kStateMismatch,
+                     "net_other");
 }
 
 }  // namespace

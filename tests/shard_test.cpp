@@ -92,7 +92,8 @@ struct RunResult {
 RunResult run_sharded(index_t threads, index_t shard_size,
                       CohortSampler sampler = CohortSampler::kFisherYates,
                       index_t rounds = kRounds,
-                      const AggregatorConfig& aggregator = {}) {
+                      const AggregatorConfig& aggregator = {},
+                      const FaultPlan& faults = {}) {
   runtime::set_num_threads(threads);
   obs::Registry::global().reset();
   ShardedConfig cfg;
@@ -102,37 +103,62 @@ RunResult run_sharded(index_t threads, index_t shard_size,
   cfg.sampler = sampler;
   ShardedSimulation engine(test_server(aggregator),
                            VirtualPopulation(test_population()), cfg);
+  engine.set_fault_plan(faults);
   engine.run(rounds);
   return {nn::serialize_state(engine.server().global_model()),
           shared_counters()};
 }
 
+/// With a fault plan the materialized engine runs single-attempt, the
+/// sharded engine's semantics (a dropout is lost, never retried).
 RunResult run_materialized(index_t threads, index_t rounds = kRounds,
-                           const AggregatorConfig& aggregator = {}) {
+                           const AggregatorConfig& aggregator = {},
+                           const FaultPlan& faults = {}) {
   runtime::set_num_threads(threads);
   obs::Registry::global().reset();
   VirtualPopulation population(test_population());
-  Simulation sim(test_server(aggregator), population.materialize(),
-                 SimulationConfig{kCohort, kSelectionSeed});
+  SimulationConfig cfg{kCohort, kSelectionSeed};
+  if (faults.active()) cfg.max_attempts = 1;
+  Simulation sim(test_server(aggregator), population.materialize(), cfg);
+  sim.set_fault_plan(faults);
   sim.run(rounds);
   return {nn::serialize_state(sim.server().global_model()),
           shared_counters()};
 }
 
+/// Dropouts, wire corruption and numeric poison over the differential
+/// federation. No stragglers: a single-attempt materialized engine would
+/// time out a delay past its deadline, which the sharded engine has none of.
+FaultPlan faulty_plan() {
+  FaultConfig cfg;
+  cfg.dropout_prob = 0.3;
+  cfg.corrupt_prob = 0.1;
+  cfg.poison_prob = 0.1;
+  return FaultPlan(cfg);
+}
+
 void expect_differential_identity(index_t threads,
-                                  const AggregatorConfig& aggregator) {
-  const RunResult reference = run_materialized(threads, kRounds, aggregator);
+                                  const AggregatorConfig& aggregator,
+                                  const FaultPlan& faults = {}) {
+  const RunResult reference =
+      run_materialized(threads, kRounds, aggregator, faults);
   ASSERT_FALSE(reference.model.empty());
   if (aggregator.kind != AggregatorKind::kFedAvg) {
     // The rule must change the aggregate, or this repeats the FedAvg proof.
     ASSERT_NE(reference.model, run_materialized(threads).model);
   }
   ASSERT_EQ(reference.counters.at("fl.rounds"), kRounds);
-  ASSERT_EQ(reference.counters.at("fl.clients_trained"), kRounds * kCohort);
+  if (faults.active()) {
+    // The faults must bite, or this repeats the fault-free proof.
+    ASSERT_LT(reference.counters.at("fl.clients_trained"), kRounds * kCohort);
+    ASSERT_GT(reference.counters.at("fl.validate.rejected"), 0u);
+  } else {
+    ASSERT_EQ(reference.counters.at("fl.clients_trained"), kRounds * kCohort);
+  }
   for (const index_t shard_size : {index_t{1}, index_t{7}, index_t{64}}) {
     const RunResult sharded =
         run_sharded(threads, shard_size, CohortSampler::kFisherYates, kRounds,
-                    aggregator);
+                    aggregator, faults);
     EXPECT_EQ(sharded.model, reference.model)
         << "model bytes diverged at shard_size=" << shard_size
         << " threads=" << threads
@@ -152,12 +178,14 @@ TEST(ShardDifferential, MatchesMaterializedSimulation_Serial) {
   for (const auto& aggregator : {AggregatorConfig{}, norm_bounded()}) {
     expect_differential_identity(1, aggregator);
   }
+  expect_differential_identity(1, AggregatorConfig{}, faulty_plan());
 }
 
 TEST(ShardDifferential, MatchesMaterializedSimulation_Threads8) {
   for (const auto& aggregator : {AggregatorConfig{}, norm_bounded()}) {
     expect_differential_identity(8, aggregator);
   }
+  expect_differential_identity(8, AggregatorConfig{}, faulty_plan());
 }
 
 // The sharded engine must also agree with ITSELF across thread counts —
