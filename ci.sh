@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: Release build + full test suite, an AddressSanitizer build
+# CI entry point: Release build + full test suite + a compile-only build of
+# the benchmark (perfbench/), an AddressSanitizer build
 # running the unit + golden labels, a kernel stage forcing the GEMM
 # differential matrix through every ISA the host can execute (ASan/UBSan,
 # then the 8-thread sweeps under TSan), a chaos stage running the randomized
@@ -23,7 +24,7 @@
 # a hard 30 s per-test TIMEOUT — a test that exceeds it fails the suite.
 #
 #   ./ci.sh            # all default stages
-#   ./ci.sh release    # Release + full ctest only
+#   ./ci.sh release    # Release + full ctest, then compile perfbench/
 #   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
 #   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label under
 #                      # each forced OASIS_GEMM_ISA with ASan/UBSan, then the
@@ -51,6 +52,12 @@ run_release() {
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DOASIS_WERROR=ON
   cmake --build build-ci -j "${jobs}"
   ctest --test-dir build-ci --output-on-failure -j "${jobs}"
+  # Compile-only: the benchmark (perfbench/) is its own CMake project, so a
+  # signature break in anything it links against fails here, not in the
+  # benchmark run.
+  echo "==> [ci] perfbench compile"
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j "${jobs}"
 }
 
 run_asan() {

@@ -1,43 +1,33 @@
-// Tiny bounds-checked value codec for checkpoint section payloads.
+// Value codec for checkpoint section payloads.
 //
-// Sections store primitive streams (u8/u32/u64, bit-cast f64, short
-// strings). The Reader validates every length against the bytes actually
-// present and throws CheckpointError{kMalformedSection} on any shortfall —
-// by the time a Reader runs, the section's CRC already passed, so a
-// malformed stream means a writer bug or version skew, not disk damage.
-// Doubles travel as raw IEEE-754 bit patterns (bit_cast through u64): the
-// resume bit-identity contract requires exact payload round-trips, not
-// merely value-preserving ones (signalling-NaN payloads included).
+// Sections store primitive streams (u8/u32/u64, bit-cast f64) through the
+// shared common::ByteWriter/ByteReader, plus the few composite values only
+// checkpoints use: short strings, byte blobs, bitsets and RNG stream
+// positions. A SectionReader is a ByteReader whose failures throw
+// CheckpointError{kMalformedSection} naming the section — by the time a
+// reader runs, the section's CRC already passed, so a malformed stream
+// means a writer bug, version skew or a hostile resealed file, not disk
+// damage. Every count prefix goes through ByteReader::count, which refuses
+// a count the bytes left cannot hold before anything is sized from it.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
+#include "common/bytes.h"
 #include "common/rng.h"
-#include "tensor/serialize.h"
 
 namespace oasis::ckpt {
 
-using ByteBuffer = std::vector<std::uint8_t>;
+using ByteBuffer = common::ByteBuffer;
 
-class SectionWriter {
+class SectionWriter : public common::ByteWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
-  void bytes(const ByteBuffer& b) {
-    u64(b.size());
-    raw(b.data(), b.size());
-  }
+  /// u32 length + bytes.
+  void str(const std::string& s);
+  /// u64 length + bytes.
+  void bytes(const ByteBuffer& b);
   /// Bit-packed flag vector (u64 bit count + ceil(n/8) bytes, LSB-first).
   /// The sharded round engine stores its completed-shard bitmap this way so
   /// a mid-round snapshot of a million-shard round costs kilobytes.
@@ -46,117 +36,18 @@ class SectionWriter {
   /// spare, and its validity flag. Every engine snapshot stores its RNG
   /// streams this way.
   void rng(const common::Rng::State& s);
-
-  [[nodiscard]] ByteBuffer take() { return std::move(out_); }
-
- private:
-  void raw(const void* p, std::size_t n) { tensor::append_bytes(out_, p, n); }
-  ByteBuffer out_;
 };
 
-class SectionReader {
+class SectionReader : public common::ByteReader {
  public:
-  SectionReader(const ByteBuffer& in, std::string section)
-      : in_(in), section_(std::move(section)) {}
+  /// Reads `in`, which must outlive the reader; `section` names it in
+  /// error messages.
+  SectionReader(const ByteBuffer& in, const std::string& section);
 
-  std::uint8_t u8() {
-    need(1);
-    return in_[off_++];
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(in_.data() + off_), n);
-    off_ += n;
-    return s;
-  }
-  ByteBuffer bytes() {
-    const std::uint64_t n = u64();
-    need(n);
-    ByteBuffer b(in_.begin() + static_cast<std::ptrdiff_t>(off_),
-                 in_.begin() + static_cast<std::ptrdiff_t>(off_ + n));
-    off_ += n;
-    return b;
-  }
-  /// Reads a u32/u64 count prefix. Every count-prefixed list reads its count
-  /// here: more elements of `element_bits` bits than the bytes left hold
-  /// throw kMalformedSection BEFORE the caller sizes anything from it.
-  template <typename T = std::uint64_t>
-  std::size_t count(std::size_t element_bits) {
-    T n = 0;
-    raw(&n, sizeof(n));
-    if (static_cast<std::uint64_t>(n) > 8 * remaining() / element_bits) {
-      throw CheckpointError(CheckpointError::Reason::kMalformedSection,
-                            "section '" + section_ + "' count " +
-                                std::to_string(n) + " overruns its bytes");
-    }
-    return static_cast<std::size_t>(n);
-  }
-  std::vector<bool> bitset() {
-    const std::size_t nbits = count(1);
-    const std::size_t nbytes = (nbits + 7) / 8;
-    std::vector<bool> bits(nbits);
-    for (std::uint64_t i = 0; i < nbits; ++i) {
-      bits[i] = (in_[off_ + i / 8] >> (i % 8)) & 1u;
-    }
-    // Padding bits beyond nbits must be zero — a set stray bit means the
-    // writer and reader disagree about the count.
-    if (nbits % 8 != 0) {
-      const std::uint8_t tail = in_[off_ + nbytes - 1];
-      if ((tail >> (nbits % 8)) != 0) {
-        throw CheckpointError(
-            CheckpointError::Reason::kMalformedSection,
-            "section '" + section_ + "' bitset has stray padding bits");
-      }
-    }
-    off_ += nbytes;
-    return bits;
-  }
-
+  std::string str();
+  ByteBuffer bytes();
+  std::vector<bool> bitset();
   common::Rng::State rng();
-
-  [[nodiscard]] std::size_t remaining() const { return in_.size() - off_; }
-
-  /// Call when a section has been fully consumed; trailing bytes mean a
-  /// writer/reader version skew and are rejected.
-  void expect_end() const {
-    if (off_ != in_.size()) {
-      throw CheckpointError(
-          CheckpointError::Reason::kMalformedSection,
-          "section '" + section_ + "' has " +
-              std::to_string(in_.size() - off_) + " trailing byte(s)");
-    }
-  }
-
- private:
-  void need(std::uint64_t n) const {
-    if (off_ > in_.size() || in_.size() - off_ < n) {
-      throw CheckpointError(
-          CheckpointError::Reason::kMalformedSection,
-          "section '" + section_ + "' truncated at offset " +
-              std::to_string(off_));
-    }
-  }
-  void raw(void* p, std::size_t n) {
-    need(n);
-    std::memcpy(p, in_.data() + off_, n);
-    off_ += n;
-  }
-
-  const ByteBuffer& in_;
-  std::string section_;
-  std::size_t off_ = 0;
 };
 
 }  // namespace oasis::ckpt

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/crc32c.h"
-#include "tensor/serialize.h"
 
 namespace oasis::ckpt {
 namespace {
 
 using common::crc32c;
 using Reason = CheckpointError::Reason;
+using Bytes = std::span<const std::uint8_t>;
 
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(std::uint32_t);
 constexpr std::size_t kFooterBytes = sizeof(std::uint32_t);
@@ -20,40 +21,19 @@ constexpr std::size_t kMaxNameLen = 255;
 // tens of sections, and the cap keeps a hostile count from driving a large
 // reserve before per-entry bounds checks run.
 constexpr std::uint32_t kMaxSections = 4096;
-
-void put_u32(std::uint32_t v, ByteBuffer& out) {
-  tensor::append_bytes(out, &v, sizeof(v));
-}
-
-void put_u64(std::uint64_t v, ByteBuffer& out) {
-  tensor::append_bytes(out, &v, sizeof(v));
-}
+// The smallest directory entry: a 1-byte name plus its length, offset, size
+// and CRC fields. Bounds the section count by the bytes left.
+constexpr std::size_t kMinEntryBits =
+    8 * (sizeof(std::uint32_t) + 1 + 2 * sizeof(std::uint64_t) +
+         sizeof(std::uint32_t));
 
 // Directory reads happen after the footer CRC has validated the whole file,
 // so a short read here means the directory *structure* lies about its own
 // extent — malformed, not truncated.
-std::uint32_t take_u32(const ByteBuffer& in, std::size_t& off,
-                       std::size_t end) {
-  if (off > end || end - off < sizeof(std::uint32_t)) {
-    throw CheckpointError(Reason::kMalformedDirectory,
-                          "directory runs past its region");
-  }
-  std::uint32_t v = 0;
-  std::memcpy(&v, in.data() + off, sizeof(v));
-  off += sizeof(v);
-  return v;
-}
-
-std::uint64_t take_u64(const ByteBuffer& in, std::size_t& off,
-                       std::size_t end) {
-  if (off > end || end - off < sizeof(std::uint64_t)) {
-    throw CheckpointError(Reason::kMalformedDirectory,
-                          "directory runs past its region");
-  }
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + off, sizeof(v));
-  off += sizeof(v);
-  return v;
+common::ByteReader directory_reader(Bytes bytes) {
+  return common::ByteReader(bytes, [](const std::string& what) {
+    throw CheckpointError(Reason::kMalformedDirectory, "directory " + what);
+  });
 }
 
 }  // namespace
@@ -69,32 +49,34 @@ void SnapshotBuilder::add(const std::string& name, ByteBuffer payload) {
 }
 
 ByteBuffer SnapshotBuilder::finish() const {
-  ByteBuffer out;
-  tensor::append_bytes(out, kMagic, sizeof(kMagic));
-  put_u32(kVersion, out);
-  put_u32(static_cast<std::uint32_t>(sections_.size()), out);
-
   // Directory size is knowable up front, which gives absolute payload
   // offsets without a second pass.
   std::size_t dir_bytes = 0;
+  std::size_t payload_bytes = 0;
   for (const auto& [name, payload] : sections_) {
     dir_bytes += sizeof(std::uint32_t) + name.size() + 2 * sizeof(std::uint64_t) +
                  sizeof(std::uint32_t);
+    payload_bytes += payload.size();
   }
+  common::ByteWriter w;
+  w.reserve(kHeaderBytes + dir_bytes + payload_bytes + kFooterBytes);
+  w.append(kMagic, sizeof(kMagic));
+  w.u32(kVersion);
+  w.u32(static_cast<std::uint32_t>(sections_.size()));
   std::uint64_t payload_off = kHeaderBytes + dir_bytes;
   for (const auto& [name, payload] : sections_) {
-    put_u32(static_cast<std::uint32_t>(name.size()), out);
-    tensor::append_bytes(out, name.data(), name.size());
-    put_u64(payload_off, out);
-    put_u64(payload.size(), out);
-    put_u32(crc32c(payload.data(), payload.size()), out);
+    w.u32(static_cast<std::uint32_t>(name.size()));
+    w.append(name.data(), name.size());
+    w.u64(payload_off);
+    w.u64(payload.size());
+    w.u32(crc32c(payload.data(), payload.size()));
     payload_off += payload.size();
   }
   for (const auto& [name, payload] : sections_) {
-    tensor::append_bytes(out, payload.data(), payload.size());
+    w.append(payload.data(), payload.size());
   }
-  put_u32(crc32c(out.data(), out.size()), out);
-  return out;
+  w.u32(crc32c(w.bytes().data(), w.size()));
+  return w.take();
 }
 
 Snapshot Snapshot::parse(ByteBuffer bytes) {
@@ -103,11 +85,14 @@ Snapshot Snapshot::parse(ByteBuffer bytes) {
                           "file too small for header + footer (" +
                               std::to_string(bytes.size()) + " bytes)");
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  // Header and directory are read from the body; the footer follows it.
+  const std::size_t body = bytes.size() - kFooterBytes;
+  common::ByteReader r = directory_reader(Bytes(bytes).first(body));
+  if (std::memcmp(r.take(sizeof(kMagic)).data(), kMagic, sizeof(kMagic)) !=
+      0) {
     throw CheckpointError(Reason::kBadMagic, "not an oasis.ckpt container");
   }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
     throw CheckpointError(Reason::kBadVersion,
                           "container version " + std::to_string(version) +
@@ -116,18 +101,13 @@ Snapshot Snapshot::parse(ByteBuffer bytes) {
 
   // Whole-file integrity first: after this check every subsequent failure is
   // the writer's fault (a structural bug), not the disk's.
-  const std::size_t body = bytes.size() - kFooterBytes;
-  std::uint32_t stored_footer = 0;
-  std::memcpy(&stored_footer, bytes.data() + body, kFooterBytes);
-  if (stored_footer != crc32c(bytes.data(), body)) {
+  if (directory_reader(Bytes(bytes).last(kFooterBytes)).u32() !=
+      crc32c(bytes.data(), body)) {
     throw CheckpointError(Reason::kFooterChecksum,
                           "whole-file CRC32C mismatch");
   }
 
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count,
-              bytes.data() + sizeof(kMagic) + sizeof(std::uint32_t),
-              sizeof(section_count));
+  const std::size_t section_count = r.count<std::uint32_t>(kMinEntryBits);
   if (section_count > kMaxSections) {
     throw CheckpointError(Reason::kMalformedDirectory,
                           "implausible section count " +
@@ -139,28 +119,22 @@ Snapshot Snapshot::parse(ByteBuffer bytes) {
   // and required to tile the payload region in order with no gaps/overlap.
   Snapshot snap;
   snap.sections_.reserve(section_count);
-  std::size_t cur = kHeaderBytes;
   std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
       entries;
   std::vector<std::uint32_t> crcs;
   entries.reserve(section_count);
   crcs.reserve(section_count);
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t name_len = take_u32(bytes, cur, body);
+  for (std::size_t i = 0; i < section_count; ++i) {
+    const std::uint32_t name_len = r.u32();
     if (name_len == 0 || name_len > kMaxNameLen) {
       throw CheckpointError(Reason::kMalformedDirectory,
                             "section name length " + std::to_string(name_len));
     }
-    if (cur > body || body - cur < name_len) {
-      throw CheckpointError(Reason::kMalformedDirectory,
-                            "directory runs past its region");
-    }
-    std::string name(reinterpret_cast<const char*>(bytes.data() + cur),
-                     name_len);
-    cur += name_len;
-    const std::uint64_t off = take_u64(bytes, cur, body);
-    const std::uint64_t size = take_u64(bytes, cur, body);
-    const std::uint32_t crc = take_u32(bytes, cur, body);
+    const auto name_bytes = r.take(name_len);
+    std::string name(name_bytes.begin(), name_bytes.end());
+    const std::uint64_t off = r.u64();
+    const std::uint64_t size = r.u64();
+    const std::uint32_t crc = r.u32();
     for (const auto& [existing, range] : entries) {
       if (existing == name) {
         throw CheckpointError(Reason::kMalformedDirectory,
@@ -171,9 +145,9 @@ Snapshot Snapshot::parse(ByteBuffer bytes) {
     crcs.push_back(crc);
   }
 
-  // `cur` now sits at the end of the directory = start of the payload
-  // region. Payloads must tile [cur, body) exactly.
-  std::uint64_t expect_off = cur;
+  // The reader now sits at the end of the directory = start of the payload
+  // region. Payloads must tile [r.offset(), body) exactly.
+  std::uint64_t expect_off = r.offset();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& [name, range] = entries[i];
     const auto [off, size] = range;

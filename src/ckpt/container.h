@@ -22,8 +22,9 @@
 // payload — so a caller never observes bytes from a damaged file. All
 // failures are typed CheckpointError with a machine-readable Reason.
 //
-// All integers are little-endian host order, matching tensor/serialize.h
-// (single-process simulator; the version field exists for future migration).
+// All integers are little-endian, written and read through the shared
+// common::ByteWriter/ByteReader (common/bytes.h) like every binary format in
+// the library; the version field exists for future migration.
 #pragma once
 
 #include <cstdint>

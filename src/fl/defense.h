@@ -27,7 +27,6 @@
 
 #include "common/rng.h"
 #include "fl/message.h"
-#include "fl/preprocessor.h"
 #include "tensor/tensor.h"
 
 namespace oasis::fl {
@@ -126,17 +125,10 @@ class DefenseStack {
   /// True when any stage needs the round cohort (see Defense).
   [[nodiscard]] bool requires_cohort() const;
 
-  /// The OASIS augmentation hook. The stack cannot apply augmentation itself
-  /// (it transforms the training batch, not the gradients), so it carries
-  /// the preprocessor for federation builders to install on their clients;
-  /// augmentation_requested() additionally records an "oasis" spec token
-  /// whose preprocessor the builder constructs.
-  void set_augmentation(PreprocessorPtr augmentation) {
-    augmentation_ = std::move(augmentation);
-  }
-  [[nodiscard]] const PreprocessorPtr& augmentation() const {
-    return augmentation_;
-  }
+  /// The OASIS augmentation request. The stack cannot apply augmentation
+  /// itself (it transforms the training batch, not the gradients), so an
+  /// "oasis" spec token only records the request; federation builders
+  /// construct the preprocessor and install it on their clients.
   void request_augmentation() { augmentation_requested_ = true; }
   [[nodiscard]] bool augmentation_requested() const {
     return augmentation_requested_;
@@ -173,7 +165,6 @@ class DefenseStack {
 
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Defense>> defenses_;
-  PreprocessorPtr augmentation_;
   bool augmentation_requested_ = false;
   std::vector<std::uint64_t> static_cohort_;
 };

@@ -71,10 +71,9 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
       obs::counter("fl.validate.reject.checksum");
 
   RejectReason reason = RejectReason::kAccepted;
-  if (validation_.check_round_id && update.round != round_) {
+  if (update.round != round_) {
     reason = RejectReason::kWrongRound;
-  } else if (validation_.check_duplicates &&
-             !screen.seen_ids.insert(update.client_id).second) {
+  } else if (!screen.seen_ids.insert(update.client_id).second) {
     reason = RejectReason::kDuplicate;
   } else if (update.num_examples == 0) {
     reason = RejectReason::kZeroExamples;
@@ -86,7 +85,7 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
       const tensor::TensorScan scan = tensor::scan_tensors(update.gradients);
       if (scan.shapes != screen.expected_shapes) {
         reason = RejectReason::kShapeMismatch;
-      } else if (validation_.check_finite && !scan.all_finite) {
+      } else if (!scan.all_finite) {
         reason = RejectReason::kNonFinite;
       } else if (validation_.max_grad_norm > 0.0 &&
                  std::sqrt(scan.sum_squares) > validation_.max_grad_norm) {

@@ -45,14 +45,12 @@ enum class RejectReason : std::uint8_t {
 
 const char* to_string(RejectReason reason);
 
-/// Which screens finish_round() applies. Defaults keep every structural and
-/// protocol check on; the norm screen is opt-in because legitimate workloads
-/// (e.g. secure-aggregation masked updates, which look like white noise)
-/// have no universal norm band.
+/// The one tunable screen of finish_round(). The round-id, duplicate,
+/// zero-example, shape, checksum and finiteness screens always run: they
+/// screen outside input. The norm screen is opt-in because legitimate
+/// workloads (e.g. secure-aggregation masked updates, which look like white
+/// noise) have no universal norm band.
 struct ValidationConfig {
-  bool check_round_id = true;
-  bool check_duplicates = true;
-  bool check_finite = true;
   real max_grad_norm = 0.0;  // 0 disables the norm screen
 };
 
@@ -193,7 +191,6 @@ class MaliciousServer : public Server {
   [[nodiscard]] const std::vector<ClientUpdateMessage>& captured() const {
     return captured_;
   }
-  void clear_captured() { captured_.clear(); }
 
  private:
   ModelManipulator manipulator_;

@@ -108,7 +108,7 @@ void FlClient::open_connection(std::uint64_t now) {
   last_activity_ms_ = now;
   next_heartbeat_ms_ = now + config_.heartbeat_ms;
   tensor::ByteBuffer opener;
-  if (session_ && config_.enable_resume) {
+  if (session_) {
     // The resume handshake carries the in-flight-update claim that resolves
     // the lost-ack ambiguity server-side.
     resumes_c.add(1);

@@ -17,7 +17,8 @@
 // round — retraining would advance the local RNG stream a second time and
 // break the bit-identity contract — so a re-dispatched round it already
 // trained is answered from the cache, byte-for-byte what it sent the first
-// time.
+// time. Resumption has no off switch: a reconnect sends a plain hello only
+// when a faulty delivery has forgotten the session (see below).
 //
 // Liveness: the client enforces a no-progress deadline (io_timeout_ms) and
 // reconnects through a dead-but-open socket instead of hanging; a slow but
@@ -96,9 +97,6 @@ struct FlClientConfig {
   /// Interval between client-sent kHeartbeat frames while connected and
   /// handshaked. 0 = no heartbeats.
   std::uint64_t heartbeat_ms = 0;
-  /// Reconnects use the kResume session handshake once a session exists.
-  /// Disabled, every reconnect is a fresh hello (pre-§5j behavior).
-  bool enable_resume = true;
   /// Hard ceiling on one inbound frame body.
   std::size_t max_frame_bytes = kDefaultMaxBodyBytes;
 };

@@ -1,97 +1,38 @@
 #include "net/frame.h"
 
-#include <cstring>
-
 namespace oasis::net {
 namespace {
 
-void put_u32(tensor::ByteBuffer& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+using common::ByteReader;
+using common::ByteWriter;
+
+/// A reader over one frame body: a short body or a trailing byte is
+/// NetError{kMalformedFrame}.
+ByteReader body_reader(const tensor::ByteBuffer& body, const char* what) {
+  return ByteReader(body, [what](const std::string& why) {
+    throw NetError(NetError::Reason::kMalformedFrame,
+                   std::string(what) + " frame body " + why);
+  });
 }
 
-void put_u64(tensor::ByteBuffer& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-/// Bounds-checked little-endian reads over a frame body.
-class BodyReader {
- public:
-  BodyReader(const tensor::ByteBuffer& body, const char* what)
-      : body_(body), what_(what) {}
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | body_[off_ + static_cast<std::size_t>(i)];
-    }
-    off_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | body_[off_ + static_cast<std::size_t>(i)];
-    }
-    off_ += 8;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    need(1);
-    return body_[off_++];
-  }
-
-  /// Everything after the fixed-width prefix (the embedded tensor payload).
-  tensor::ByteBuffer rest() {
-    tensor::ByteBuffer out(body_.begin() + static_cast<std::ptrdiff_t>(off_),
-                           body_.end());
-    off_ = body_.size();
-    return out;
-  }
-
-  /// The fixed-layout frame types must consume their body exactly.
-  void expect_end() const {
-    if (off_ != body_.size()) {
-      throw NetError(NetError::Reason::kMalformedFrame,
-                     std::string(what_) + " frame carries " +
-                         std::to_string(body_.size() - off_) +
-                         " trailing bytes");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (body_.size() - off_ < n) {
-      throw NetError(NetError::Reason::kMalformedFrame,
-                     std::string(what_) + " frame body truncated at byte " +
-                         std::to_string(off_) + " (" +
-                         std::to_string(body_.size()) + " bytes total)");
-    }
-  }
-
-  const tensor::ByteBuffer& body_;
-  const char* what_;
-  std::size_t off_ = 0;
-};
-
-tensor::ByteBuffer make_frame(FrameType type, const tensor::ByteBuffer& body) {
-  tensor::ByteBuffer out;
+tensor::ByteBuffer make_frame(FrameType type, const ByteWriter& body = {}) {
+  ByteWriter out;
   out.reserve(kFrameHeaderBytes + body.size());
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  out.u32(static_cast<std::uint32_t>(body.size()));
+  out.u8(static_cast<std::uint8_t>(type));
+  out.append(body.bytes().data(), body.size());
+  return out.take();
 }
 
-void check_magic(BodyReader& r, const char* what) {
+/// The magic + version words every handshake body opens with.
+ByteWriter handshake_body(std::uint32_t version = kProtocolVersion) {
+  ByteWriter body;
+  body.u32(kProtocolMagic);
+  body.u32(version);
+  return body;
+}
+
+void check_magic(ByteReader& r, const char* what) {
   const std::uint32_t magic = r.u32();
   if (magic != kProtocolMagic) {
     throw NetError(NetError::Reason::kBadMagic,
@@ -131,89 +72,77 @@ const char* to_string(FrameType t) {
 }
 
 tensor::ByteBuffer encode_hello(const Hello& hello) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, hello.client_id);
+  ByteWriter body = handshake_body();
+  body.u64(hello.client_id);
   return make_frame(FrameType::kHello, body);
 }
 
 tensor::ByteBuffer encode_welcome(const Welcome& welcome) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, welcome.round);
+  ByteWriter body = handshake_body();
+  body.u64(welcome.round);
   return make_frame(FrameType::kWelcome, body);
 }
 
 tensor::ByteBuffer encode_model(const fl::GlobalModelMessage& msg) {
-  tensor::ByteBuffer body;
+  ByteWriter body;
   body.reserve(8 + msg.model_state.size());
-  put_u64(body, msg.round);
-  body.insert(body.end(), msg.model_state.begin(), msg.model_state.end());
+  body.u64(msg.round);
+  body.append(msg.model_state.data(), msg.model_state.size());
   return make_frame(FrameType::kModel, body);
 }
 
 tensor::ByteBuffer encode_update(const fl::ClientUpdateMessage& msg) {
-  tensor::ByteBuffer body;
+  ByteWriter body;
   body.reserve(24 + msg.gradients.size());
-  put_u64(body, msg.round);
-  put_u64(body, msg.client_id);
-  put_u64(body, msg.num_examples);
-  body.insert(body.end(), msg.gradients.begin(), msg.gradients.end());
+  body.u64(msg.round);
+  body.u64(msg.client_id);
+  body.u64(msg.num_examples);
+  body.append(msg.gradients.data(), msg.gradients.size());
   return make_frame(FrameType::kUpdate, body);
 }
 
 tensor::ByteBuffer encode_retry_after(std::uint64_t retry_after_ms) {
-  tensor::ByteBuffer body;
-  put_u64(body, retry_after_ms);
+  ByteWriter body;
+  body.u64(retry_after_ms);
   return make_frame(FrameType::kRetryAfter, body);
 }
 
 tensor::ByteBuffer encode_round_result(const RoundResult& result) {
-  tensor::ByteBuffer body;
-  put_u64(body, result.round);
-  body.push_back(result.committed ? 1 : 0);
+  ByteWriter body;
+  body.u64(result.round);
+  body.u8(result.committed ? 1 : 0);
   return make_frame(FrameType::kRoundResult, body);
 }
 
-tensor::ByteBuffer encode_goodbye() {
-  return make_frame(FrameType::kGoodbye, {});
-}
+tensor::ByteBuffer encode_goodbye() { return make_frame(FrameType::kGoodbye); }
 
 tensor::ByteBuffer encode_resume(const Resume& resume) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, resume.client_id);
-  put_u64(body, resume.last_round);
-  body.push_back(resume.has_update ? 1 : 0);
-  put_u64(body, resume.update_round);
+  ByteWriter body = handshake_body();
+  body.u64(resume.client_id);
+  body.u64(resume.last_round);
+  body.u8(resume.has_update ? 1 : 0);
+  body.u64(resume.update_round);
   return make_frame(FrameType::kResume, body);
 }
 
 tensor::ByteBuffer encode_resume_ack(const ResumeAck& ack) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, ack.round);
-  body.push_back(static_cast<std::uint8_t>(ack.status));
+  ByteWriter body = handshake_body();
+  body.u64(ack.round);
+  body.u8(static_cast<std::uint8_t>(ack.status));
   return make_frame(FrameType::kResumeAck, body);
 }
 
 tensor::ByteBuffer encode_heartbeat() {
-  return make_frame(FrameType::kHeartbeat, {});
+  return make_frame(FrameType::kHeartbeat);
 }
 
 tensor::ByteBuffer encode_version_reject(const VersionReject& reject) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, reject.supported_version);
-  return make_frame(FrameType::kVersionReject, body);
+  return make_frame(FrameType::kVersionReject,
+                    handshake_body(reject.supported_version));
 }
 
 Hello decode_hello(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "hello");
+  ByteReader r = body_reader(body, "hello");
   check_magic(r, "hello");
   Hello hello;
   hello.client_id = r.u64();
@@ -222,7 +151,7 @@ Hello decode_hello(const tensor::ByteBuffer& body) {
 }
 
 Welcome decode_welcome(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "welcome");
+  ByteReader r = body_reader(body, "welcome");
   check_magic(r, "welcome");
   Welcome welcome;
   welcome.round = r.u64();
@@ -231,32 +160,34 @@ Welcome decode_welcome(const tensor::ByteBuffer& body) {
 }
 
 fl::GlobalModelMessage decode_model(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "model");
+  ByteReader r = body_reader(body, "model");
   fl::GlobalModelMessage msg;
   msg.round = r.u64();
-  msg.model_state = r.rest();
+  const auto state = r.rest();
+  msg.model_state.assign(state.begin(), state.end());
   return msg;
 }
 
 fl::ClientUpdateMessage decode_update(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "update");
+  ByteReader r = body_reader(body, "update");
   fl::ClientUpdateMessage msg;
   msg.round = r.u64();
   msg.client_id = r.u64();
   msg.num_examples = r.u64();
-  msg.gradients = r.rest();
+  const auto gradients = r.rest();
+  msg.gradients.assign(gradients.begin(), gradients.end());
   return msg;
 }
 
 std::uint64_t decode_retry_after(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "retry_after");
+  ByteReader r = body_reader(body, "retry_after");
   const std::uint64_t ms = r.u64();
   r.expect_end();
   return ms;
 }
 
 RoundResult decode_round_result(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "round_result");
+  ByteReader r = body_reader(body, "round_result");
   RoundResult result;
   result.round = r.u64();
   result.committed = r.u8() != 0;
@@ -265,7 +196,7 @@ RoundResult decode_round_result(const tensor::ByteBuffer& body) {
 }
 
 Resume decode_resume(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "resume");
+  ByteReader r = body_reader(body, "resume");
   check_magic(r, "resume");
   Resume resume;
   resume.client_id = r.u64();
@@ -277,14 +208,13 @@ Resume decode_resume(const tensor::ByteBuffer& body) {
 }
 
 ResumeAck decode_resume_ack(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "resume_ack");
+  ByteReader r = body_reader(body, "resume_ack");
   check_magic(r, "resume_ack");
   ResumeAck ack;
   ack.round = r.u64();
   const std::uint8_t status = r.u8();
   if (status > static_cast<std::uint8_t>(ResumeStatus::kExpired)) {
-    throw NetError(NetError::Reason::kMalformedFrame,
-                   "resume_ack status byte " + std::to_string(status));
+    r.fail("status byte " + std::to_string(status));
   }
   ack.status = static_cast<ResumeStatus>(status);
   r.expect_end();
@@ -292,7 +222,7 @@ ResumeAck decode_resume_ack(const tensor::ByteBuffer& body) {
 }
 
 VersionReject decode_version_reject(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "version_reject");
+  ByteReader r = body_reader(body, "version_reject");
   const std::uint32_t magic = r.u32();
   if (magic != kProtocolMagic) {
     throw NetError(NetError::Reason::kBadMagic,
@@ -318,31 +248,29 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  const std::size_t avail = buf_.size() - off_;
-  if (avail < kFrameHeaderBytes) return std::nullopt;
-  std::uint32_t body_len = 0;
-  std::memcpy(&body_len, buf_.data() + off_, sizeof(body_len));
+  if (buffered() < kFrameHeaderBytes) return std::nullopt;
   // The header is validated BEFORE waiting for (or allocating) the body, so
   // a hostile length prefix or garbage type byte is rejected from the first
-  // five bytes alone.
+  // five bytes alone. No read here can fail: the header is buffered and the
+  // body is taken only once it is.
+  ByteReader r(std::span<const std::uint8_t>(buf_).subspan(off_), nullptr);
+  const std::uint32_t body_len = r.u32();
   if (body_len > max_body_bytes_) {
     throw NetError(NetError::Reason::kOversizedFrame,
                    "frame body of " + std::to_string(body_len) +
                        " bytes exceeds the " +
                        std::to_string(max_body_bytes_) + "-byte budget");
   }
-  const std::uint8_t type = buf_[off_ + 4];
+  const std::uint8_t type = r.u8();
   if (!frame_type_known(type)) {
     throw NetError(NetError::Reason::kBadFrameType,
                    "unknown frame type byte " + std::to_string(type));
   }
-  if (avail < kFrameHeaderBytes + body_len) return std::nullopt;
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  const auto begin =
-      buf_.begin() + static_cast<std::ptrdiff_t>(off_ + kFrameHeaderBytes);
-  frame.body.assign(begin, begin + static_cast<std::ptrdiff_t>(body_len));
-  off_ += kFrameHeaderBytes + body_len;
+  if (r.remaining() < body_len) return std::nullopt;
+  const auto body = r.take(body_len);
+  Frame frame{static_cast<FrameType>(type),
+              tensor::ByteBuffer(body.begin(), body.end())};
+  off_ += r.offset();
   return frame;
 }
 

@@ -10,6 +10,11 @@
 // exactly what travels over TCP — the net layer adds frame boundaries and a
 // handshake, never a second tensor format.
 //
+// Frames are written and read through the shared common::ByteWriter/
+// ByteReader (common/bytes.h), the same little-endian codec and bounds rule
+// as tensor payloads and checkpoints; a body that is short or carries
+// trailing bytes is NetError{kMalformedFrame}.
+//
 // FrameDecoder is incremental: feed() whatever bytes the socket produced,
 // next() yields complete frames. Malformed input (oversized length prefix,
 // unknown type byte) throws NetError at the earliest byte that proves the

@@ -94,7 +94,7 @@ std::uint16_t FlServer::port() const {
 }
 
 index_t FlServer::max_parked() const {
-  return config_.max_parked > 0 ? config_.max_parked : 2 * config_.cohort_size;
+  return 2 * config_.cohort_size;
 }
 
 index_t FlServer::connection_count() const { return conns_.size(); }

@@ -9,106 +9,105 @@
 namespace oasis::tensor {
 namespace {
 
+using common::ByteReader;
+using common::ByteWriter;
+using Bytes = std::span<const std::uint8_t>;
+
 constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
+// A listed tensor occupies at least its u64 rank, which bounds the count
+// prefix by the bytes left; the cap bounds it further.
+constexpr std::size_t kMinTensorBits = 64;
+constexpr std::size_t kMaxTensors = std::size_t{1} << 20;
 
-void write_u64(std::uint64_t v, ByteBuffer& out) {
-  append_bytes(out, &v, sizeof(v));
+ByteReader payload_reader(Bytes bytes) {
+  return ByteReader(bytes, [](const std::string& what) {
+    throw SerializationError("tensor payload: " + what);
+  });
 }
 
-// All read helpers walk the logical payload [0, end); `end` excludes the
-// CRC trailer when the buffer carries one, so a hostile length can never
-// steer the cursor into (or past) the checksum bytes.
-std::uint64_t read_u64(const ByteBuffer& in, std::size_t& offset,
-                       std::size_t end) {
-  if (offset > end || end - offset < sizeof(std::uint64_t)) {
-    throw SerializationError("truncated buffer reading u64");
-  }
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + offset, sizeof(v));
-  offset += sizeof(v);
-  return v;
+void write(const Tensor& t, ByteWriter& w) {
+  w.u64(t.rank());
+  for (const auto d : t.shape()) w.u64(d);
+  const auto values = t.data();
+  w.append(values.data(), values.size() * sizeof(real));
 }
 
-/// Reads a tensor header (rank + extents) and returns its shape together
-/// with the validated element count. Every check happens BEFORE allocation
-/// and is written so no intermediate product/sum can wrap: a hostile header
-/// claiming 2^62 × 2^62 elements throws instead of overflowing to a small
-/// count that would desynchronise the read cursor.
-Shape read_header(const ByteBuffer& in, std::size_t& offset, std::size_t end,
-                  index_t& out_numel) {
-  const auto rank = read_u64(in, offset, end);
-  if (rank > 8) {
-    throw SerializationError("implausible tensor rank " +
-                             std::to_string(rank));
-  }
+/// Reads a tensor header (rank + extents) and returns its shape; `values` is
+/// set to a view of the tensor's value bytes. Every check happens BEFORE
+/// allocation and is written so no intermediate product can wrap: a hostile
+/// header claiming 2^62 × 2^62 elements throws instead of overflowing to a
+/// small count that would desynchronise the read cursor.
+Shape read_header(ByteReader& r, Bytes& values) {
+  const auto rank = r.u64();
+  if (rank > 8) r.fail("implausible tensor rank " + std::to_string(rank));
   Shape shape(rank);
   index_t n = 1;
   for (auto& d : shape) {
-    d = read_u64(in, offset, end);
+    d = r.u64();
     if (d != 0 && n > std::numeric_limits<index_t>::max() / d) {
-      throw SerializationError("tensor extent product overflows");
+      r.fail("tensor extent product overflows");
     }
     n *= d;
   }
-  // Overflow-safe payload bound: compare element count against the bytes
-  // actually remaining rather than forming n * sizeof(real).
-  if (offset > end || n > (end - offset) / sizeof(real)) {
-    throw SerializationError("truncated buffer reading tensor payload");
-  }
-  out_numel = n;
+  values = r.take(n, sizeof(real));
   return shape;
 }
 
+Tensor read(ByteReader& r) {
+  Bytes bytes;
+  Shape shape = read_header(r, bytes);
+  std::vector<real> values(bytes.size() / sizeof(real));
+  std::memcpy(values.data(), bytes.data(), bytes.size());
+  return Tensor(std::move(shape), std::move(values));
+}
+
 /// Verifies the CRC32C trailer of a serialize_tensors() message and returns
-/// the logical payload size (everything before the trailer). Runs BEFORE any
-/// structural parsing so damaged bytes are reported as checksum damage even
-/// when the structure still happens to decode.
-std::size_t verify_trailer(const ByteBuffer& in) {
+/// a reader over the payload before it, so a hostile length can never steer
+/// the cursor into (or past) the checksum bytes. Runs BEFORE any structural
+/// parsing so damaged bytes are reported as checksum damage even when the
+/// structure still happens to decode.
+ByteReader verified_payload(const ByteBuffer& in) {
   if (in.size() < sizeof(std::uint64_t) + kCrcBytes) {
     throw ChecksumError("buffer too small for count header + CRC trailer");
   }
-  const std::size_t payload = in.size() - kCrcBytes;
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, in.data() + payload, kCrcBytes);
-  const std::uint32_t actual = oasis::common::crc32c(in.data(), payload);
-  if (stored != actual) {
+  const Bytes payload = Bytes(in).first(in.size() - kCrcBytes);
+  if (payload_reader(Bytes(in).last(kCrcBytes)).u32() !=
+      oasis::common::crc32c(payload.data(), payload.size())) {
     throw ChecksumError("payload CRC32C mismatch");
   }
-  return payload;
+  return payload_reader(payload);
+}
+
+std::size_t read_count(ByteReader& r) {
+  const std::size_t count = r.count(kMinTensorBits);
+  if (count > kMaxTensors) {
+    r.fail("implausible tensor count " + std::to_string(count));
+  }
+  return count;
 }
 
 }  // namespace
 
-void append_bytes(ByteBuffer& out, const void* p, std::size_t n) {
-  const std::size_t off = out.size();
-  out.resize(off + n);
-  if (n != 0) std::memcpy(out.data() + off, p, n);
-}
-
 void write_tensor(const Tensor& t, ByteBuffer& out) {
-  write_u64(t.rank(), out);
-  for (const auto d : t.shape()) write_u64(d, out);
-  const auto values = t.data();
-  const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
-  out.insert(out.end(), p, p + values.size() * sizeof(real));
+  ByteWriter w(std::move(out));
+  write(t, w);
+  out = w.take();
 }
 
 Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
-  index_t n = 0;
-  Shape shape = read_header(in, offset, in.size(), n);
-  std::vector<real> values(n);
-  std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
-  offset += n * sizeof(real);
-  return Tensor(std::move(shape), std::move(values));
+  ByteReader r = payload_reader(in);
+  (void)r.take(offset);
+  Tensor t = read(r);
+  offset = r.offset();
+  return t;
 }
 
 ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
-  ByteBuffer out;
-  write_u64(tensors.size(), out);
-  for (const auto& t : tensors) write_tensor(t, out);
-  const std::uint32_t crc = oasis::common::crc32c(out.data(), out.size());
-  append_bytes(out, &crc, kCrcBytes);
-  return out;
+  ByteWriter w;
+  w.u64(tensors.size());
+  for (const auto& t : tensors) write(t, w);
+  w.u32(oasis::common::crc32c(w.bytes().data(), w.size()));
+  return w.take();
 }
 
 void reseal_tensors(ByteBuffer& buf) {
@@ -119,51 +118,32 @@ void reseal_tensors(ByteBuffer& buf) {
 }
 
 std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
-  const std::size_t end = verify_trailer(in);
-  std::size_t offset = 0;
-  const auto count = read_u64(in, offset, end);
-  if (count > (1u << 20)) {
-    throw SerializationError("implausible tensor count " +
-                             std::to_string(count));
-  }
+  ByteReader r = verified_payload(in);
+  const std::size_t count = read_count(r);
   std::vector<Tensor> tensors;
   tensors.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    index_t n = 0;
-    Shape shape = read_header(in, offset, end, n);
-    std::vector<real> values(n);
-    std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
-    offset += n * sizeof(real);
-    tensors.emplace_back(std::move(shape), std::move(values));
-  }
-  if (offset != end) {
-    throw SerializationError("trailing bytes after tensor list");
-  }
+  for (std::size_t i = 0; i < count; ++i) tensors.push_back(read(r));
+  r.expect_end();
   return tensors;
 }
 
 TensorScan scan_tensors(const ByteBuffer& in) {
-  const std::size_t end = verify_trailer(in);
-  std::size_t offset = 0;
-  const auto count = read_u64(in, offset, end);
-  if (count > (1u << 20)) {
-    throw SerializationError("implausible tensor count " +
-                             std::to_string(count));
-  }
+  ByteReader r = verified_payload(in);
   TensorScan scan;
-  scan.tensors = count;
-  scan.shapes.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    index_t n = 0;
-    scan.shapes.push_back(read_header(in, offset, end, n));
+  scan.tensors = read_count(r);
+  scan.shapes.reserve(scan.tensors);
+  for (std::uint64_t i = 0; i < scan.tensors; ++i) {
+    Bytes bytes;
+    scan.shapes.push_back(read_header(r, bytes));
     // Stream the values through a small stack buffer: the payload bytes are
     // not guaranteed to be double-aligned inside the message.
     constexpr index_t kChunk = 128;
     real buf[kChunk];
+    const index_t n = bytes.size() / sizeof(real);
     index_t done = 0;
     while (done < n) {
       const index_t take = std::min(kChunk, n - done);
-      std::memcpy(buf, in.data() + offset + done * sizeof(real),
+      std::memcpy(buf, bytes.data() + done * sizeof(real),
                   take * sizeof(real));
       for (index_t k = 0; k < take; ++k) {
         if (!std::isfinite(buf[k])) scan.all_finite = false;
@@ -171,12 +151,9 @@ TensorScan scan_tensors(const ByteBuffer& in) {
       }
       done += take;
     }
-    offset += n * sizeof(real);
     scan.values += n;
   }
-  if (offset != end) {
-    throw SerializationError("trailing bytes after tensor list");
-  }
+  r.expect_end();
   return scan;
 }
 

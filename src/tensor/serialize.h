@@ -2,36 +2,37 @@
 //
 // The FL layer ships model snapshots and gradient updates between server and
 // clients as byte buffers; this module defines that wire format. Layout per
-// tensor: u64 rank, u64 extents..., f64 values... (little-endian host order —
-// the simulator runs in one process, so no byte swapping is performed, but
-// the format is versioned for forward compatibility).
+// tensor: u64 rank, u64 extents..., f64 values... (little-endian, written
+// and read through common::ByteWriter/ByteReader like every binary format
+// in the library).
 //
-// Deserialization is hardened against hostile payloads: every length/extent
-// is bounds-checked (overflow-safely) against the bytes actually present
-// BEFORE any allocation, so a truncated, bit-flipped, or oversized buffer
-// throws SerializationError instead of reading past the end or attempting a
-// multi-exabyte allocation. The FL server's update-validation pipeline relies
-// on this boundary.
+// Deserialization is hardened against hostile payloads: the tensor count and
+// every extent are bounds-checked (overflow-safely) against the bytes
+// actually present BEFORE any allocation, so a truncated, bit-flipped, or
+// oversized buffer throws SerializationError instead of reading past the end
+// or attempting a large allocation. The tensor count is bounded by the bytes
+// left (each tensor needs at least its 8-byte rank) as well as by a 2^20
+// cap, so a resealed 12-byte buffer claiming 2^20 tensors is refused before
+// anything is sized from it. The FL server's update-validation pipeline and
+// every client's model load rely on this boundary.
 //
 // serialize_tensors additionally appends a 4-byte CRC32C over the message; it
 // is verified FIRST on read (ChecksumError on mismatch), so damage that
 // happens to preserve structure — a bit flip inside a value — is still
-// caught. write_tensor/read_tensor remain the raw, trailer-free primitives.
+// caught. CRC32C is not a MAC: anyone can reseal a hostile buffer, which is
+// why the structural checks stand on their own. write_tensor/read_tensor
+// remain the raw, trailer-free primitives.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "tensor/tensor.h"
 
 namespace oasis::tensor {
 
-using ByteBuffer = std::vector<std::uint8_t>;
-
-/// Appends `n` bytes at `p` to `out` by resize + memcpy: a vector::insert
-/// into a fresh buffer draws a false -Wstringop-overflow from GCC 12. Out of
-/// line so it is never inlined next to a buffer's construction.
-void append_bytes(ByteBuffer& out, const void* p, std::size_t n);
+using ByteBuffer = common::ByteBuffer;
 
 /// Appends a serialized tensor to `out`.
 void write_tensor(const Tensor& t, ByteBuffer& out);

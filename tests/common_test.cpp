@@ -1,8 +1,11 @@
 // Tests for the common utilities: CLI parsing, logging levels, error
-// macros, stopwatch; plus serialization robustness (fuzz) and experiment
-// determinism properties.
+// macros, stopwatch, the shared byte reader/writer; plus serialization
+// robustness (fuzz) and experiment determinism properties.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "common/bytes.h"
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/logging.h"
@@ -230,6 +233,152 @@ TEST(ErrorMacros, CheckThrowsWithLocation) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("custom message 42"), std::string::npos);
     EXPECT_NE(what.find("common_test.cpp"), std::string::npos);
+  }
+}
+
+// --- Shared byte reader/writer -----------------------------------------------
+
+/// The caller-supplied error a test reader raises; nothing else may escape.
+class ReaderFailure : public Error {
+ public:
+  explicit ReaderFailure(const std::string& what) : Error(what) {}
+};
+
+common::ByteReader test_reader(std::span<const std::uint8_t> bytes) {
+  return common::ByteReader(
+      bytes, [](const std::string& what) { throw ReaderFailure(what); });
+}
+
+/// One row per field kind: how it is written and how it is read back.
+struct Field {
+  const char* kind;
+  std::function<void(common::ByteWriter&)> write;
+  std::function<void(common::ByteReader&)> read;  // EXPECTs the value
+};
+
+const std::vector<Field>& mixed_fields() {
+  static const std::vector<Field> fields = {
+      {"u8", [](common::ByteWriter& w) { w.u8(0xA5); },
+       [](common::ByteReader& r) { EXPECT_EQ(r.u8(), 0xA5u); }},
+      {"u32", [](common::ByteWriter& w) { w.u32(0xDEADBEEF); },
+       [](common::ByteReader& r) { EXPECT_EQ(r.u32(), 0xDEADBEEFu); }},
+      {"u64", [](common::ByteWriter& w) { w.u64(0x0123456789ABCDEFull); },
+       [](common::ByteReader& r) { EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull); }},
+      {"f64", [](common::ByteWriter& w) { w.f64(-2.5); },
+       [](common::ByteReader& r) { EXPECT_EQ(r.f64(), -2.5); }},
+      {"count",
+       [](common::ByteWriter& w) {
+         w.u32(3);
+         for (std::uint64_t v : {10, 11, 12}) w.u64(v);
+       },
+       [](common::ByteReader& r) {
+         ASSERT_EQ(r.count<std::uint32_t>(64), 3u);
+         for (std::uint64_t v : {10, 11, 12}) EXPECT_EQ(r.u64(), v);
+       }},
+      // A length-checked tail, so a cut inside it is a failure too.
+      {"rest",
+       [](common::ByteWriter& w) {
+         w.u64(5);
+         w.append("abcde", 5);
+       },
+       [](common::ByteReader& r) {
+         const std::uint64_t n = r.u64();
+         const auto rest = r.rest();
+         if (rest.size() != n) r.fail("short tail");
+         EXPECT_EQ(std::string(rest.begin(), rest.end()), "abcde");
+         EXPECT_EQ(r.remaining(), 0u);
+       }},
+  };
+  return fields;
+}
+
+common::ByteBuffer write_fields(const std::vector<Field>& fields) {
+  common::ByteWriter w;
+  for (const auto& f : fields) f.write(w);
+  return w.take();
+}
+
+void read_fields(const std::vector<Field>& fields,
+                 std::span<const std::uint8_t> bytes) {
+  common::ByteReader r = test_reader(bytes);
+  for (const auto& f : fields) f.read(r);
+  r.expect_end();
+}
+
+TEST(ByteReader, MixedStreamRoundTripsAndEveryFailureIsTheCallersError) {
+  const auto& fields = mixed_fields();
+  const common::ByteBuffer bytes = write_fields(fields);
+  // The writer's output round-trips field by field...
+  EXPECT_NO_THROW(read_fields(fields, bytes));
+  // ...and each field also round-trips on its own.
+  for (const auto& f : fields) {
+    EXPECT_NO_THROW(read_fields({f}, write_fields({f}))) << f.kind;
+  }
+  // Fixed-width fields are little-endian.
+  common::ByteWriter le;
+  le.u32(0x01020304);
+  EXPECT_EQ(le.take(), (common::ByteBuffer{4, 3, 2, 1}));
+
+  // Every truncation point throws the caller's error, and no other, from
+  // the field the cut lands in; the fields before the cut read back.
+  std::vector<std::size_t> ends;  // offset just past each field
+  common::ByteWriter w;
+  for (const auto& f : fields) {
+    f.write(w);
+    ends.push_back(w.size());
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    common::ByteReader r = test_reader(std::span(bytes).first(len));
+    std::size_t i = 0;
+    for (; ends[i] <= len; ++i) fields[i].read(r);
+    try {
+      fields[i].read(r);
+      ADD_FAILURE() << "cut at " << len << " inside " << fields[i].kind
+                    << " accepted";
+    } catch (const ReaderFailure&) {
+    } catch (...) {
+      ADD_FAILURE() << "cut at " << len << " threw another error";
+    }
+  }
+
+  // expect_end() refuses trailing bytes.
+  common::ByteBuffer padded = bytes;
+  padded.push_back(0);
+  EXPECT_THROW(read_fields(fields, padded), ReaderFailure);
+
+  // A reader without a Fail still refuses, with the base error.
+  common::ByteReader bare{std::span(bytes).first(3), nullptr};
+  EXPECT_THROW((void)bare.u64(), Error);
+}
+
+TEST(ByteReader, CountRefusesAnOverrunBeforeAnythingIsSized) {
+  struct Case {
+    const char* name;
+    std::uint64_t count;
+    std::size_t element_bits;
+    std::size_t bytes_behind;
+    bool fits;
+  };
+  for (const Case& c : {
+           Case{"exact", 3, 64, 24, true},
+           Case{"one over", 4, 64, 24, false},
+           Case{"bits", 17, 1, 2, false},
+           Case{"bits exact", 16, 1, 2, true},
+           Case{"empty list", 0, 64, 0, true},
+           Case{"wraps a byte product", ~std::uint64_t{0}, 64, 8, false},
+           Case{"wraps a bit count", ~std::uint64_t{0}, 1, 1, false},
+       }) {
+    common::ByteWriter w;
+    w.u64(c.count);
+    const common::ByteBuffer zeros(c.bytes_behind, 0);
+    w.append(zeros.data(), zeros.size());
+    const common::ByteBuffer bytes = w.take();
+    common::ByteReader r = test_reader(bytes);
+    if (c.fits) {
+      EXPECT_EQ(r.count(c.element_bits), c.count) << c.name;
+    } else {
+      EXPECT_THROW((void)r.count(c.element_bits), ReaderFailure) << c.name;
+    }
   }
 }
 

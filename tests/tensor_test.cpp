@@ -3,14 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <new>
 
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
+
+// Allocation probe: this binary replaces the global operator new so a test
+// can record the largest single allocation made while the probe is armed.
+// Out of line: inlined, GCC 12 pairs a visible new with the free() inside
+// delete and reports a false -Wmismatched-new-delete.
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace oasis::tensor {
 namespace {
@@ -374,6 +402,40 @@ TEST(Serialize, OversizedExtentsThrowInsteadOfAllocating) {
   put_u64(county, std::uint64_t{1} << 32);
   seal(county);
   EXPECT_THROW(deserialize_tensors(county), SerializationError);
+}
+
+/// Runs `parse`, which must refuse its input with a SerializationError that
+/// is not checksum damage, and returns the largest single allocation it made.
+std::size_t largest_allocation_refusing(const std::function<void()>& parse) {
+  g_largest_allocation = 0;
+  g_probe_armed = true;
+  bool refused = false;
+  try {
+    parse();
+  } catch (const ChecksumError&) {
+  } catch (const SerializationError&) {
+    refused = true;
+  }
+  g_probe_armed = false;
+  EXPECT_TRUE(refused) << "expected a structural SerializationError";
+  return g_largest_allocation;
+}
+
+TEST(Serialize, HostileTensorCountIsRefusedBeforeAnythingIsSized) {
+  // 12 bytes: a count prefix claiming 2^20 tensors (the cap) and a resealed
+  // CRC32C trailer. Each tensor needs at least its 8-byte rank, so the count
+  // overruns the 0 bytes behind it; it must be refused before the tensor or
+  // shape list is reserved (24-48 MiB at 2^20 entries).
+  ByteBuffer hostile(12, 0);
+  const std::uint64_t count = std::uint64_t{1} << 20;
+  std::memcpy(hostile.data(), &count, sizeof(count));
+  reseal_tensors(hostile);
+  constexpr std::size_t kFewKiB = 4096;
+  EXPECT_LT(largest_allocation_refusing([&] { (void)scan_tensors(hostile); }),
+            kFewKiB);
+  EXPECT_LT(largest_allocation_refusing(
+                [&] { (void)deserialize_tensors(hostile); }),
+            kFewKiB);
 }
 
 TEST(Serialize, ScanMatchesDeserializedContents) {
