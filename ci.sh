@@ -40,7 +40,8 @@
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
 #                      # blocked-vs-naive floors for both dtypes + the fp32
-#                      # scale-path floors); run on quiet hardware
+#                      # scale-path floors + the hardware CRC32C floor); run
+#                      # on quiet hardware
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -219,7 +220,14 @@ run_tsan() {
 run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
-  echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors, both dtypes)"
+  echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors, both dtypes, CRC32C)"
+  # common::crc32c dispatches the same way at run time; the CRC floor
+  # self-skips on the portable path.
+  crc="portable"
+  if [ "$(uname -m)" = "x86_64" ] && grep -q sse4_2 /proc/cpuinfo 2>/dev/null; then
+    crc="sse4.2"
+  fi
+  echo "==> [ci] CRC32C path on this host: ${crc}"
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DOASIS_WERROR=ON
   cmake --build build-ci -j "${jobs}" --target perf_guard_test
   OASIS_PERF_GUARD=1 ctest --test-dir build-ci --output-on-failure -L perf

@@ -41,29 +41,28 @@ void RoundFold::require_streaming(const Server& server) {
   }
 }
 
-void RoundFold::fold(const ClientUpdateMessage& update) {
+void RoundFold::fold(AcceptedUpdate update) {
   const AggregatorConfig& rule = server_.aggregator();
   ++accepted_;
-  if (rule.kind == AggregatorKind::kFedAvg) {
-    acc_.add(update);
-    return;
-  }
-  auto gradients = tensor::deserialize_tensors(update.gradients);
   if (buffers(rule.kind)) {
-    buffered_.push_back(std::move(gradients));
+    buffered_.push_back(std::move(update.gradients));
     return;
   }
   // Norm-bounded: same accumulator, order and weights as FedAvg — the clip
   // is the only difference.
-  clip_gradients_to_norm(gradients, rule.norm_bound);
-  acc_.add(std::move(gradients), static_cast<real>(update.num_examples));
+  if (rule.kind == AggregatorKind::kNormBounded) {
+    clip_gradients_to_norm(update.gradients, rule.norm_bound);
+  }
+  acc_.add(std::move(update.gradients),
+           static_cast<real>(update.num_examples));
 }
 
 RejectReason RoundFold::offer(const ClientUpdateMessage& update,
                               UpdateScreen& screen) {
-  const RejectReason reason = server_.screen_update(update, screen);
+  AcceptedUpdate accepted;
+  const RejectReason reason = server_.screen_update(update, screen, accepted);
   if (reason == RejectReason::kAccepted) {
-    fold(update);
+    fold(std::move(accepted));
   } else {
     ++rejected_;
   }

@@ -35,8 +35,9 @@ class RoundFold {
   /// Throws ConfigError when `server`'s rule buffers the cohort.
   static void require_streaming(const Server& server);
 
-  /// Folds an update Server::screen_update accepted.
-  void fold(const ClientUpdateMessage& update);
+  /// Folds an update Server::screen_update accepted, weighted by its
+  /// example count.
+  void fold(AcceptedUpdate update);
   /// Server::screen_update, then fold() when accepted (else the rejection
   /// is tallied).
   RejectReason offer(const ClientUpdateMessage& update, UpdateScreen& screen);

@@ -52,7 +52,8 @@ UpdateScreen Server::begin_screen() const {
 }
 
 RejectReason Server::screen_update(const ClientUpdateMessage& update,
-                                   UpdateScreen& screen) {
+                                   UpdateScreen& screen,
+                                   AcceptedUpdate& accepted) {
   static obs::Counter& accepted_c = obs::counter("fl.validate.accepted");
   static obs::Counter& rejected_c = obs::counter("fl.validate.rejected");
   static obs::Counter& malformed_c =
@@ -71,6 +72,7 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
       obs::counter("fl.validate.reject.checksum");
 
   RejectReason reason = RejectReason::kAccepted;
+  std::vector<tensor::Tensor> gradients;
   if (update.round != round_) {
     reason = RejectReason::kWrongRound;
   } else if (!screen.seen_ids.insert(update.client_id).second) {
@@ -78,11 +80,12 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
   } else if (update.num_examples == 0) {
     reason = RejectReason::kZeroExamples;
   } else {
-    // Structural walk + numeric screens without materialising tensors; a
-    // hostile payload must fail HERE, inside the catch boundary, never in
-    // the aggregation hot loop.
+    // One checksum and one bounded decode, then the numeric screens on the
+    // decoded tensors; a hostile payload must fail HERE, inside the catch
+    // boundary, never in the aggregation hot loop.
     try {
-      const tensor::TensorScan scan = tensor::scan_tensors(update.gradients);
+      gradients = tensor::deserialize_tensors(update.gradients);
+      const tensor::TensorScan scan = tensor::summarize_tensors(gradients);
       if (scan.shapes != screen.expected_shapes) {
         reason = RejectReason::kShapeMismatch;
       } else if (!scan.all_finite) {
@@ -93,7 +96,7 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
       }
     } catch (const ChecksumError&) {
       // CRC trailer mismatch: the bytes were damaged in flight. Checked
-      // first (inside scan_tensors) so a bit flip that happens to keep the
+      // first (inside deserialize_tensors) so a bit flip that keeps the
       // structure parseable is still rejected.
       reason = RejectReason::kChecksumMismatch;
     } catch (const SerializationError&) {
@@ -102,6 +105,8 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
   }
   if (reason == RejectReason::kAccepted) {
     accepted_c.add(1);
+    accepted = AcceptedUpdate{update.client_id, update.num_examples,
+                              std::move(gradients)};
   } else {
     rejected_c.add(1);
     switch (reason) {
@@ -117,6 +122,12 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
     }
   }
   return reason;
+}
+
+RejectReason Server::screen_update(const ClientUpdateMessage& update,
+                                   UpdateScreen& screen) {
+  AcceptedUpdate discarded;
+  return screen_update(update, screen, discarded);
 }
 
 void Server::commit_round(const std::vector<tensor::Tensor>& average) {

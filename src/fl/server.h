@@ -74,6 +74,14 @@ struct UpdateScreen {
   std::unordered_set<std::uint64_t> seen_ids;
 };
 
+/// An update Server::screen_update accepted, decoded once: the fold consumes
+/// the gradients and never touches the payload bytes again.
+struct AcceptedUpdate {
+  std::uint64_t client_id = 0;
+  std::uint64_t num_examples = 0;  // FedAvg weight
+  std::vector<tensor::Tensor> gradients;
+};
+
 /// Honest central server: owns the global model, dispatches it each round,
 /// aggregates valid client gradients with FedAvg and applies them with SGD
 /// (w ← w − η·Ḡ, paper Eq. 1).
@@ -119,9 +127,16 @@ class Server {
   [[nodiscard]] UpdateScreen begin_screen() const;
 
   /// Runs one update through the full validation pipeline (round id,
-  /// duplicate, example count, structural scan, finiteness, norm band) and
-  /// tallies the verdict through the fl.validate.* obs counters. Accepted
-  /// updates register their client id in `screen` for duplicate detection.
+  /// duplicate, example count, checksum and structural decode, shapes,
+  /// finiteness, norm band) and tallies the verdict through the
+  /// fl.validate.* obs counters. The payload is checksummed and decoded
+  /// once; an accepted update's decoded gradients land in `accepted`, ready
+  /// for RoundFold::fold. Accepted updates register their client id in
+  /// `screen` for duplicate detection.
+  RejectReason screen_update(const ClientUpdateMessage& update,
+                             UpdateScreen& screen, AcceptedUpdate& accepted);
+
+  /// The same screen, for callers that only want the verdict.
   RejectReason screen_update(const ClientUpdateMessage& update,
                              UpdateScreen& screen);
 

@@ -349,7 +349,8 @@ void FlServer::handle_update(Conn& conn, const Frame& frame) {
   // inner id is the pipeline's duplicate screen's problem, same as the
   // in-process path.
   round_delivered_.insert(conn.client_id);
-  const fl::RejectReason verdict = core_.screen_update(msg, screen_);
+  fl::AcceptedUpdate accepted;
+  const fl::RejectReason verdict = core_.screen_update(msg, screen_, accepted);
   if (verdict == fl::RejectReason::kAccepted) {
     const auto pos = std::find(round_order_.begin(), round_order_.end(),
                                conn.client_id) -
@@ -358,9 +359,9 @@ void FlServer::handle_update(Conn& conn, const Frame& frame) {
       // The fold already passed this member (reachable only via a spoofed
       // inner id slipping the duplicate screen after the wire id folded):
       // fold immediately rather than strand it behind the frontier.
-      fold_accepted(msg);
+      fold_accepted(std::move(accepted));
     } else {
-      accepted_pending_[conn.client_id].push_back(std::move(msg));
+      accepted_pending_[conn.client_id].push_back(std::move(accepted));
     }
   }
   conn.state = Conn::State::kReplied;
@@ -378,9 +379,9 @@ void FlServer::clear_round() {
   screen_ = fl::UpdateScreen{};
 }
 
-void FlServer::fold_accepted(const fl::ClientUpdateMessage& msg) {
-  fold_.fold(msg);
-  folded_inner_.push_back(msg.client_id);
+void FlServer::fold_accepted(fl::AcceptedUpdate update) {
+  folded_inner_.push_back(update.client_id);
+  fold_.fold(std::move(update));
   ++accepts_since_ckpt_;
   fire_event(Event::kUpdateAccepted);
 }
@@ -395,7 +396,7 @@ void FlServer::fold_ready() {
   while (fold_frontier_ < round_order_.size()) {
     const auto it = accepted_pending_.find(round_order_[fold_frontier_]);
     if (it == accepted_pending_.end()) break;
-    for (const auto& msg : it->second) fold_accepted(msg);
+    for (auto& update : it->second) fold_accepted(std::move(update));
     accepted_pending_.erase(it);
     ++fold_frontier_;
     if (config_.checkpoint != nullptr && config_.checkpoint_every_accepts > 0 &&
@@ -613,7 +614,7 @@ void FlServer::cutover(std::uint64_t now) {
     const std::uint64_t id = round_order_[i];
     const auto it = accepted_pending_.find(id);
     if (it != accepted_pending_.end()) {
-      for (const auto& msg : it->second) fold_accepted(msg);
+      for (auto& update : it->second) fold_accepted(std::move(update));
       accepted_pending_.erase(it);
     }
     if (round_delivered_.count(id) == 0) stragglers_c.add(1);

@@ -227,7 +227,7 @@ class FlServer {
   /// makes a mid-round snapshot's accepted set a simple order prefix.
   void fold_ready();
   /// Folds one accepted update and does the frontier bookkeeping.
-  void fold_accepted(const fl::ClientUpdateMessage& msg);
+  void fold_accepted(fl::AcceptedUpdate update);
   /// Drops every piece of in-flight round state.
   void clear_round();
   /// Snapshot of the complete serving state (model, round ticket, fold
@@ -256,10 +256,11 @@ class FlServer {
   /// completes when this covers round_order_; restored from a snapshot as
   /// the folded prefix so a crash re-collects exactly the unfolded tail.
   std::unordered_set<std::uint64_t> round_delivered_;
-  /// Accepted updates awaiting their fold-order slot, keyed by wire id.
+  /// Accepted updates awaiting their fold-order slot, keyed by wire id,
+  /// parked as the screen decoded them so the fold never re-decodes.
   /// A vector per id keeps tolerated duplicate deliveries adjacent, exactly
   /// like the batch path's assembled order.
-  std::unordered_map<std::uint64_t, std::vector<fl::ClientUpdateMessage>>
+  std::unordered_map<std::uint64_t, std::vector<fl::AcceptedUpdate>>
       accepted_pending_;
   fl::UpdateScreen screen_;            // streaming validation context
   fl::RoundFold fold_;                 // the durable streamed aggregate

@@ -25,6 +25,17 @@ ByteReader payload_reader(Bytes bytes) {
   });
 }
 
+/// serialize_tensors' exact output size: count, each tensor's rank,
+/// extents and values, and the trailer.
+std::size_t serialized_size(const std::vector<Tensor>& tensors) {
+  std::size_t n = sizeof(std::uint64_t) + kCrcBytes;
+  for (const auto& t : tensors) {
+    n += sizeof(std::uint64_t) * (1 + t.rank()) +
+         t.data().size() * sizeof(real);
+  }
+  return n;
+}
+
 void write(const Tensor& t, ByteWriter& w) {
   w.u64(t.rank());
   for (const auto d : t.shape()) w.u64(d);
@@ -53,11 +64,24 @@ Shape read_header(ByteReader& r, Bytes& values) {
   return shape;
 }
 
+/// Folds `values` into the scan's statistics one value at a time, in payload
+/// order. The byte walk and the decoded walk both go through here, so their
+/// sums of squares (and norm verdicts) agree bit for bit.
+void accumulate(std::span<const real> values, TensorScan& scan) {
+  for (const real v : values) {
+    if (!std::isfinite(v)) scan.all_finite = false;
+    scan.sum_squares += v * v;
+  }
+  scan.values += values.size();
+}
+
 Tensor read(ByteReader& r) {
   Bytes bytes;
   Shape shape = read_header(r, bytes);
   std::vector<real> values(bytes.size() / sizeof(real));
-  std::memcpy(values.data(), bytes.data(), bytes.size());
+  // A zero extent leaves values.data() null, and memcpy from/to null is
+  // undefined even for zero bytes.
+  if (!values.empty()) std::memcpy(values.data(), bytes.data(), bytes.size());
   return Tensor(std::move(shape), std::move(values));
 }
 
@@ -103,7 +127,10 @@ Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
 }
 
 ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
+  // Sized up front: grown by appends, the trailer would reallocate and copy
+  // the whole payload once the last tensor's values fill the capacity.
   ByteWriter w;
+  w.reserve(serialized_size(tensors));
   w.u64(tensors.size());
   for (const auto& t : tensors) write(t, w);
   w.u32(oasis::common::crc32c(w.bytes().data(), w.size()));
@@ -145,15 +172,22 @@ TensorScan scan_tensors(const ByteBuffer& in) {
       const index_t take = std::min(kChunk, n - done);
       std::memcpy(buf, bytes.data() + done * sizeof(real),
                   take * sizeof(real));
-      for (index_t k = 0; k < take; ++k) {
-        if (!std::isfinite(buf[k])) scan.all_finite = false;
-        scan.sum_squares += buf[k] * buf[k];
-      }
+      accumulate(std::span<const real>(buf, take), scan);
       done += take;
     }
-    scan.values += n;
   }
   r.expect_end();
+  return scan;
+}
+
+TensorScan summarize_tensors(const std::vector<Tensor>& tensors) {
+  TensorScan scan;
+  scan.tensors = tensors.size();
+  scan.shapes.reserve(tensors.size());
+  for (const auto& t : tensors) {
+    scan.shapes.push_back(t.shape());
+    accumulate(t.data(), scan);
+  }
   return scan;
 }
 

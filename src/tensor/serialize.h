@@ -53,9 +53,10 @@ std::vector<Tensor> deserialize_tensors(const ByteBuffer& in);
 /// a valid checksum so the structural validation paths stay reachable.
 void reseal_tensors(ByteBuffer& buf);
 
-/// Summary of a serialized tensor list produced without materialising any
-/// tensor (no allocation proportional to the payload). Used by the FL
-/// server's cheap screening pass over client updates.
+/// Value statistics of a tensor list, for the FL server's plausibility
+/// screens. scan_tensors produces one from the bytes without materialising
+/// any tensor (no allocation proportional to the payload);
+/// summarize_tensors from decoded tensors.
 struct TensorScan {
   std::uint64_t tensors = 0;    // list length from the count header
   std::uint64_t values = 0;     // total scalar count across all tensors
@@ -68,5 +69,12 @@ struct TensorScan {
 /// invariants as deserialize_tensors (throws SerializationError on malformed
 /// input), and returns value statistics for plausibility screening.
 TensorScan scan_tensors(const ByteBuffer& in);
+
+/// The statistics scan_tensors reports, taken over already-decoded tensors:
+/// summarize_tensors(deserialize_tensors(b)) equals scan_tensors(b) field
+/// for field, sum_squares bit for bit (same values, same order, same
+/// arithmetic). The FL server screens an update this way so it checks and
+/// walks the payload once and hands the decoded tensors to the fold.
+TensorScan summarize_tensors(const std::vector<Tensor>& tensors);
 
 }  // namespace oasis::tensor

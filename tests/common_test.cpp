@@ -1,14 +1,19 @@
 // Tests for the common utilities: CLI parsing, logging levels, error
-// macros, stopwatch, the shared byte reader/writer; plus serialization
+// macros, stopwatch, the shared byte reader/writer, CRC32C; plus serialization
 // robustness (fuzz) and experiment determinism properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/cli.h"
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/experiment.h"
 #include "data/synthetic.h"
@@ -379,6 +384,71 @@ TEST(ByteReader, CountRefusesAnOverrunBeforeAnythingIsSized) {
     } else {
       EXPECT_THROW((void)r.count(c.element_bits), ReaderFailure) << c.name;
     }
+  }
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  return common::crc32c(bytes.data(), bytes.size());
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32c, KnownAnswers) {
+  // The standard check value, then the four 32-byte vectors of
+  // RFC 3720 §B.4 (iSCSI), read as little-endian u32s.
+  const std::string check = "123456789";
+  EXPECT_EQ(common::crc32c(check.data(), check.size()), 0xE3069283u);
+  std::vector<std::uint8_t> ascending(32), descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+  EXPECT_EQ(crc_of(ascending), 0x46DD794Eu);
+  EXPECT_EQ(crc_of(descending), 0x113FDB5Cu);
+  EXPECT_EQ(common::crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  // Lengths 0..1024 cover the hardware path's 8-byte body with every tail
+  // length; starts 0..7 cover every misalignment of its 8-byte loads.
+  // Without SSE4.2 both calls are the portable walk and this is trivial.
+  constexpr std::size_t kMaxLen = 1024;
+  constexpr std::size_t kMaxAlign = 8;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto bytes = random_bytes(kMaxLen + kMaxAlign, 1000 + seed);
+    const auto crc_seed = static_cast<std::uint32_t>(seed * 0x9E3779B9u);
+    for (std::size_t align = 0; align < kMaxAlign; ++align) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        const std::uint8_t* p = bytes.data() + align;
+        ASSERT_EQ(common::crc32c(p, len, crc_seed),
+                  common::detail::crc32c_portable(p, len, crc_seed))
+            << "seed " << seed << " align " << align << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, ChainedPiecesEqualOneCall) {
+  const auto bytes = random_bytes(4099, 7);
+  const std::uint32_t whole = crc_of(bytes);
+  EXPECT_EQ(whole,
+            common::detail::crc32c_portable(bytes.data(), bytes.size()));
+  for (const std::size_t piece : {1u, 3u, 8u, 13u, 64u, 1000u, 4098u}) {
+    std::uint32_t crc = 0;
+    for (std::size_t off = 0; off < bytes.size(); off += piece) {
+      const std::size_t n = std::min(piece, bytes.size() - off);
+      crc = common::crc32c(bytes.data() + off, n, crc);
+    }
+    EXPECT_EQ(crc, whole) << "pieces of " << piece;
   }
 }
 

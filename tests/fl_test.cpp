@@ -2,8 +2,11 @@
 // gradient correctness, honest/malicious server behaviour, full rounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "data/synthetic.h"
 #include "fl/aggregation.h"
@@ -13,6 +16,7 @@
 #include "nn/dense.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 
 namespace oasis::fl {
@@ -442,6 +446,136 @@ TEST(Validation, UnmetQuorumThrowsBeforeTouchingTheModel) {
   }
   // Quorum of 1 with one valid update commits.
   EXPECT_TRUE(server.finish_round(updates, /*min_valid=*/1).applied);
+}
+
+/// The payload verdict the screen gave before it decoded updates once: a
+/// byte walk with scan_tensors, then the shape, finiteness and norm screens
+/// on the scan. The decode-once screen is checked against this reference.
+RejectReason scan_verdict(const tensor::ByteBuffer& payload,
+                          const std::vector<tensor::Shape>& expected,
+                          real max_grad_norm) {
+  try {
+    const tensor::TensorScan scan = tensor::scan_tensors(payload);
+    if (scan.shapes != expected) return RejectReason::kShapeMismatch;
+    if (!scan.all_finite) return RejectReason::kNonFinite;
+    if (max_grad_norm > 0.0 && std::sqrt(scan.sum_squares) > max_grad_norm) {
+      return RejectReason::kNormTooLarge;
+    }
+    return RejectReason::kAccepted;
+  } catch (const ChecksumError&) {
+    return RejectReason::kChecksumMismatch;
+  } catch (const SerializationError&) {
+    return RejectReason::kMalformed;
+  }
+}
+
+/// Hostile payloads for a model with parameter `shapes`: the honest
+/// payload, every truncation, every single-bit flip both resealed (so it
+/// reaches the structural and numeric screens) and not, a wrong shape, and
+/// NaN/±Inf planted at the first, a middle and the last value.
+std::vector<tensor::ByteBuffer> hostile_corpus(
+    const std::vector<tensor::Shape>& shapes, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<tensor::Tensor> honest;
+  for (const auto& shape : shapes) {
+    honest.push_back(tensor::Tensor::randn(shape, rng));
+  }
+  const tensor::ByteBuffer base = tensor::serialize_tensors(honest);
+  std::vector<tensor::ByteBuffer> corpus{base};
+  for (std::size_t len = 0; len < base.size(); ++len) {
+    corpus.emplace_back(base.begin(), base.begin() + len);
+  }
+  for (std::size_t bit = 0; bit < 8 * base.size(); ++bit) {
+    tensor::ByteBuffer flipped = base;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    corpus.push_back(flipped);
+    tensor::reseal_tensors(flipped);
+    corpus.push_back(std::move(flipped));
+  }
+  std::vector<tensor::Tensor> reshaped = honest;
+  reshaped.back() = tensor::Tensor::randn({reshaped.back().size() + 1}, rng);
+  corpus.push_back(tensor::serialize_tensors(reshaped));
+  for (const real poison : {std::numeric_limits<real>::quiet_NaN(),
+                            std::numeric_limits<real>::infinity(),
+                            -std::numeric_limits<real>::infinity()}) {
+    for (const std::size_t t : {std::size_t{0}, honest.size() - 1}) {
+      auto poisoned = honest;
+      const auto values = poisoned[t].data();
+      for (const std::size_t i : {std::size_t{0}, values.size() / 2,
+                                  values.size() - 1}) {
+        const real saved = values[i];
+        values[i] = poison;
+        corpus.push_back(tensor::serialize_tensors(poisoned));
+        values[i] = saved;
+      }
+    }
+  }
+  return corpus;
+}
+
+TEST(Validation, DecodeOnceScreenMatchesTheScanReferenceOnHostilePayloads) {
+  // The counter each rejected payload verdict bumps besides
+  // fl.validate.rejected.
+  const std::map<RejectReason, std::string> reject_counter = {
+      {RejectReason::kMalformed, "fl.validate.reject.malformed"},
+      {RejectReason::kShapeMismatch, "fl.validate.reject.shape"},
+      {RejectReason::kNonFinite, "fl.validate.reject.non_finite"},
+      {RejectReason::kNormTooLarge, "fl.validate.reject.norm"},
+      {RejectReason::kChecksumMismatch, "fl.validate.reject.checksum"}};
+  const auto validate_counters = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : obs::Registry::global().counters()) {
+      if (value != 0 && name.rfind("fl.validate.", 0) == 0) out[name] = value;
+    }
+    return out;
+  };
+
+  common::Rng rng(5);
+  Server server(nn::make_mlp({1, 2, 2}, {3}, 2, rng), 0.1);
+  const std::vector<tensor::Shape> shapes =
+      server.begin_screen().expected_shapes;
+  const auto corpus = hostile_corpus(shapes, 6);
+  const real norm =
+      std::sqrt(tensor::scan_tensors(corpus.front()).sum_squares);
+
+  // Norm screen off, at the honest payload's norm (accepted), and one ulp
+  // below it (the norm is one ulp above the bound: rejected).
+  std::map<RejectReason, std::size_t> seen;
+  for (const real max_grad_norm :
+       {0.0, norm, std::nextafter(norm, real{0})}) {
+    server.set_validation(ValidationConfig{max_grad_norm});
+    UpdateScreen screen = server.begin_screen();
+    auto expected = validate_counters();
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      ClientUpdateMessage update;
+      update.client_id = i;
+      update.num_examples = 1;
+      update.gradients = corpus[i];
+      const RejectReason want = scan_verdict(corpus[i], shapes, max_grad_norm);
+      AcceptedUpdate accepted;
+      ASSERT_EQ(server.screen_update(update, screen, accepted), want)
+          << "payload " << i << ", max_grad_norm " << max_grad_norm;
+      ++seen[want];
+      if (want == RejectReason::kAccepted) {
+        ++expected["fl.validate.accepted"];
+        EXPECT_EQ(accepted.client_id, i);
+        EXPECT_EQ(tensor::serialize_tensors(accepted.gradients), corpus[i]);
+      } else {
+        ++expected["fl.validate.rejected"];
+        ++expected[reject_counter.at(want)];
+        EXPECT_TRUE(accepted.gradients.empty());
+      }
+    }
+    EXPECT_EQ(validate_counters(), expected)
+        << "max_grad_norm " << max_grad_norm;
+  }
+  // The corpus reaches every payload verdict.
+  for (const RejectReason reason :
+       {RejectReason::kAccepted, RejectReason::kMalformed,
+        RejectReason::kShapeMismatch, RejectReason::kNonFinite,
+        RejectReason::kNormTooLarge, RejectReason::kChecksumMismatch}) {
+    EXPECT_GT(seen[reason], 0u) << to_string(reason);
+  }
 }
 
 TEST(Simulation, RejectsDuplicateClientIds) {

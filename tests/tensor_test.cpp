@@ -283,10 +283,11 @@ TEST(Serialize, RoundTripList) {
   ts.push_back(Tensor::randn({2, 2}, rng));
   ts.push_back(Tensor::randn({7}, rng));
   ts.push_back(Tensor({1, 1}));
+  ts.push_back(Tensor({0, 3}));  // no values: nothing to copy
   ByteBuffer buf = serialize_tensors(ts);
   auto us = deserialize_tensors(buf);
-  ASSERT_EQ(us.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(ts[i] == us[i]);
+  ASSERT_EQ(us.size(), ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) EXPECT_TRUE(ts[i] == us[i]);
 }
 
 TEST(Serialize, TruncatedThrows) {
@@ -436,6 +437,22 @@ TEST(Serialize, HostileTensorCountIsRefusedBeforeAnythingIsSized) {
   EXPECT_LT(largest_allocation_refusing(
                 [&] { (void)deserialize_tensors(hostile); }),
             kFewKiB);
+}
+
+TEST(Serialize, WriterAllocatesNoMoreThanItsOutput) {
+  // The last tensor is large, so a buffer grown by appends would be full
+  // when the 4-byte trailer arrives and would reallocate to about twice the
+  // payload. Sized up front, the one allocation is the output itself.
+  std::vector<Tensor> ts;
+  ts.push_back(Tensor({3, 2}, {1, 2, 3, 4, 5, 6}));
+  ts.push_back(Tensor::full({(std::size_t{1} << 20) / sizeof(real)}, 0.5));
+  g_largest_allocation = 0;
+  g_probe_armed = true;
+  const ByteBuffer out = serialize_tensors(ts);
+  g_probe_armed = false;
+  EXPECT_EQ(out.size(), 8 + (8 + 2 * 8 + 6 * 8) +
+                            (8 + 8 + (std::size_t{1} << 20)) + 4);
+  EXPECT_LE(g_largest_allocation.load(), out.size());
 }
 
 TEST(Serialize, ScanMatchesDeserializedContents) {
