@@ -110,16 +110,14 @@ RoundOutcome run_cohort(const data::InMemoryDataset& pool,
     for (index_t i = 0; i < cohort_size; ++i) {
       fl::ClientUpdateMessage update;
       try {
-        update = clients[i]->handle_round(server->dispatch_to(i));
+        update = clients[i]->handle_round(server->dispatch_to(i),
+                                          robust.defense.get(), cohort_ids);
       } catch (const AuditError&) {
         // The audit gate spotted the implant: this client sits the round
         // out, exactly as in the round engines.
         ++outcome.refused;
         if (i == 0) victim_refused = true;
         continue;
-      }
-      if (robust.defense && !robust.defense->empty()) {
-        robust.defense->apply(update, cohort_ids);
       }
       if (use_secagg) session.mask_update(update);
       updates.push_back(std::move(update));

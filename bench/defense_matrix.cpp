@@ -75,8 +75,8 @@ std::vector<real> attack_psnr(attack::ActiveAttack& atk,
   std::vector<real> psnr;
   for (index_t round = 0; round < rounds; ++round) {
     server.begin_round();
-    auto update = victim.handle_round(server.dispatch_to(0));
-    defense.stack->apply(update, cohort);
+    auto update =
+        victim.handle_round(server.dispatch_to(0), defense.stack.get(), cohort);
     const auto candidates =
         atk.reconstruct(tensor::deserialize_tensors(update.gradients));
     const auto originals =

@@ -9,8 +9,9 @@
 # ASan/UBSan, a shard stage running the sharded million-client round engine's
 # differential + crash tests under ASan/UBSan, a net-chaos stage SIGKILLing a
 # live socket server at four kill points and memcmping the recovered model,
-# a defense stage running the defense-stack / audit-gate / robust-aggregation
-# suites under ASan/UBSan and the Byzantine chaos suite under TSan,
+# a defense stage running the defense-stack / baseline-defense / audit-gate /
+# robust-aggregation suites under ASan/UBSan and the Byzantine chaos suite
+# under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
 # differential).
@@ -34,8 +35,8 @@
 #   ./ci.sh net        # ASan build + net label, then a TSan loopback round
 #   ./ci.sh net-chaos  # ASan server-kill harness + TSan reconnect/backoff
 #   ./ci.sh shard      # ASan build + shard label + sharded crash kill-points
-#   ./ci.sh defense    # defense + robust-aggregation labels and the net
-#                      # aggregator tests under ASan/UBSan, Byzantine chaos
+#   ./ci.sh defense    # defense + robust-aggregation labels, baselines_test
+#                      # and the net aggregator tests under ASan/UBSan, Byzantine chaos
 #                      # suite under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
@@ -184,15 +185,18 @@ run_defense() {
   # property suite (order statistics over buffered cohorts) riding along, and
   # the socket server's aggregator tests (net_test NetAggregator.*: a
   # norm-bounded loopback federation folded through the shared RoundFold,
-  # and the ConfigError refusal of buffering rules).
+  # and the ConfigError refusal of buffering rules). baselines_test rides
+  # along too: the Related-Work baselines (DP clip+noise, top-k pruning) are
+  # defense stages rewriting the same tensors.
   # The Byzantine chaos suite then runs under TSan: sign-flip / blowup /
   # colluding cohorts push the engines through their refusal and exclusion
   # paths at 8 threads, exactly where a racy per-slot catch would surface.
   echo "==> [ci] Defense stage: defense + robust-aggregation under ASan/UBSan + Byzantine chaos under TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target defense_test property_test \
-    net_test
+    net_test baselines_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L defense
+  ./build-asan/tests/baselines_test
   ./build-asan/tests/property_test --gtest_filter='RobustAggregation.*'
   ./build-asan/tests/net_test --gtest_filter='NetAggregator.*'
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON

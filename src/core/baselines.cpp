@@ -5,47 +5,20 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "obs/obs.h"
 
 namespace oasis::core {
-
-DpGaussianMechanism::DpGaussianMechanism(real clip_norm,
-                                         real noise_multiplier)
-    : clip_norm_(clip_norm), noise_multiplier_(noise_multiplier) {
-  OASIS_CHECK(clip_norm_ > 0.0);
-  OASIS_CHECK(noise_multiplier_ >= 0.0);
-}
-
-std::vector<tensor::Tensor> DpGaussianMechanism::process(
-    std::vector<tensor::Tensor> gradients, common::Rng& rng) const {
-  // Global L2 norm across the whole update (per-update sensitivity).
-  real sq = 0.0;
-  for (const auto& g : gradients) {
-    for (const auto v : g.data()) sq += v * v;
-  }
-  const real norm = std::sqrt(sq);
-  const real scale = norm > clip_norm_ ? clip_norm_ / norm : 1.0;
-  const real stddev = noise_multiplier_ * clip_norm_;
-  for (auto& g : gradients) {
-    for (auto& v : g.data()) {
-      v = v * scale + (stddev > 0.0 ? rng.normal(0.0, stddev) : 0.0);
-    }
-  }
-  return gradients;
-}
-
-std::string DpGaussianMechanism::name() const {
-  std::ostringstream os;
-  os << "dp[C=" << clip_norm_ << ",sigma=" << noise_multiplier_ << "]";
-  return os.str();
-}
 
 TopKPruning::TopKPruning(real keep_fraction) : keep_fraction_(keep_fraction) {
   OASIS_CHECK_MSG(keep_fraction_ > 0.0 && keep_fraction_ <= 1.0,
                   "keep fraction " << keep_fraction_);
 }
 
-std::vector<tensor::Tensor> TopKPruning::process(
-    std::vector<tensor::Tensor> gradients, common::Rng& /*rng*/) const {
+void TopKPruning::apply(std::vector<tensor::Tensor>& gradients,
+                        common::Rng& /*rng*/,
+                        const fl::DefenseContext& /*ctx*/) const {
+  static obs::Counter& applied = obs::counter("fl.defense.prune");
+  applied.add(1);
   for (auto& g : gradients) {
     if (g.size() == 0) continue;
     const auto keep = static_cast<index_t>(
@@ -63,12 +36,11 @@ std::vector<tensor::Tensor> TopKPruning::process(
       if (std::abs(v) < threshold) v = 0.0;
     }
   }
-  return gradients;
 }
 
 std::string TopKPruning::name() const {
   std::ostringstream os;
-  os << "prune[keep=" << keep_fraction_ << "]";
+  os << "prune(" << keep_fraction_ << ")";
   return os.str();
 }
 

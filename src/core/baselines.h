@@ -1,46 +1,28 @@
-// Baseline defenses from the paper's Related Work, for ablation comparison:
+// Baseline defenses from the paper's Related Work, for ablation comparison.
 //
 //  * DP-SGD-style Gaussian mechanism (Abadi et al. 2016) — clip the update's
-//    global L2 norm and add calibrated Gaussian noise. The paper (and Fowl /
-//    Boenisch) argue the noise needed to blind gradient inversion destroys
-//    model utility; `ablation_baselines` measures both sides.
+//    global L2 norm to C and add N(0, (σ·C)²) noise. It is the defense stack
+//    "clip:C,noise:σ·C" (fl/defense.h); the paper (and Fowl / Boenisch)
+//    argue the noise needed to blind gradient inversion destroys model
+//    utility, and `ablation_baselines` measures both sides.
 //  * Gradient pruning / sparsification (Zhu et al. 2019; Sun et al. 2021) —
 //    zero all but the largest-magnitude fraction of gradient entries. The
 //    paper notes reconstructions remain recognizable even at heavy pruning.
 #pragma once
 
-#include "fl/postprocessor.h"
+#include "fl/defense.h"
 
 namespace oasis::core {
 
-/// Gaussian mechanism on the flattened client update:
-/// g ← g · min(1, clip/‖g‖₂) + N(0, (σ·clip)²·I).
-class DpGaussianMechanism : public fl::UpdatePostprocessor {
- public:
-  /// `clip_norm` is the L2 sensitivity bound C; `noise_multiplier` is σ
-  /// (noise stddev = σ·C), the usual DP-SGD parameterization.
-  DpGaussianMechanism(real clip_norm, real noise_multiplier);
-
-  std::vector<tensor::Tensor> process(std::vector<tensor::Tensor> gradients,
-                                      common::Rng& rng) const override;
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] real clip_norm() const { return clip_norm_; }
-  [[nodiscard]] real noise_multiplier() const { return noise_multiplier_; }
-
- private:
-  real clip_norm_;
-  real noise_multiplier_;
-};
-
 /// Keeps only the top `keep_fraction` of entries by magnitude in each
-/// gradient tensor (per-tensor threshold), zeroing the rest.
-class TopKPruning : public fl::UpdatePostprocessor {
+/// gradient tensor (per-tensor threshold), zeroing the rest. Deterministic:
+/// the stage's rng is never drawn.
+class TopKPruning : public fl::Defense {
  public:
   explicit TopKPruning(real keep_fraction);
 
-  std::vector<tensor::Tensor> process(std::vector<tensor::Tensor> gradients,
-                                      common::Rng& rng) const override;
+  void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
+             const fl::DefenseContext& ctx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] real keep_fraction() const { return keep_fraction_; }

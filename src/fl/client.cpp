@@ -23,10 +23,6 @@ Client::Client(std::uint64_t id, data::InMemoryDataset local_data,
                             << local_data_.size() << " local examples");
 }
 
-void Client::set_update_postprocessor(PostprocessorPtr postprocessor) {
-  postprocessor_ = std::move(postprocessor);
-}
-
 void Client::set_model_auditor(ModelAuditor auditor) {
   auditor_ = std::move(auditor);
 }
@@ -76,7 +72,9 @@ std::vector<index_t> Client::sample_batch_indices() {
   return picked;
 }
 
-ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
+ClientUpdateMessage Client::handle_round(
+    const GlobalModelMessage& msg, const DefenseStack* defense,
+    std::span<const std::uint64_t> cohort) {
   if (round_keyed_rng_) {
     rng_ = client_round_stream(round_key_seed_, msg.round, id_);
   }
@@ -132,8 +130,8 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
   } else {
     gradients = nn::snapshot_gradients(*model_);
   }
-  if (postprocessor_) {
-    gradients = postprocessor_->process(std::move(gradients), rng_);
+  if (defense != nullptr) {
+    defense->apply(gradients, DefenseContext{msg.round, id_, cohort});
   }
 
   ClientUpdateMessage update;

@@ -3,10 +3,11 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "data/dataset.h"
+#include "fl/defense.h"
 #include "fl/message.h"
-#include "fl/postprocessor.h"
 #include "fl/preprocessor.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
@@ -49,7 +50,8 @@ enum class BatchSampling {
 /// Per round: deserializes the dispatched global model into its replica,
 /// samples a local batch D of `batch_size`, runs the (possibly OASIS)
 /// preprocessor to get D', computes batch gradients of the cross-entropy
-/// loss, and returns them serialized.
+/// loss, runs the engine's DefenseStack on them, and returns them
+/// serialized.
 class Client {
  public:
   Client(std::uint64_t id, data::InMemoryDataset local_data,
@@ -57,10 +59,6 @@ class Client {
          PreprocessorPtr preprocessor, common::Rng rng,
          BatchSampling sampling = BatchSampling::kUniform,
          LossKind loss_kind = LossKind::kSoftmaxCrossEntropy);
-
-  /// Installs a gradient postprocessor (DP noise, pruning, ...) applied to
-  /// every update before upload. Default: upload exact gradients.
-  void set_update_postprocessor(PostprocessorPtr postprocessor);
 
   /// Installs the model-audit gate run on every dispatched global model
   /// immediately after it is loaded into the local replica. The auditor
@@ -91,9 +89,14 @@ class Client {
   /// paper's attack analysis assumes.
   void set_local_training(index_t steps, real lr);
 
-  /// Handles one training round. Throws SerializationError on a malformed
-  /// model payload.
-  ClientUpdateMessage handle_round(const GlobalModelMessage& msg);
+  /// Handles one training round. `defense` (clip, noise, mask, pruning, ...)
+  /// runs on the gradient tensors before their one serialization, keyed by
+  /// DefenseContext{msg.round, id(), cohort}; an empty `cohort` falls back
+  /// to the stack's static cohort. Null or empty uploads exact gradients.
+  /// Throws SerializationError on a malformed model payload.
+  ClientUpdateMessage handle_round(const GlobalModelMessage& msg,
+                                   const DefenseStack* defense = nullptr,
+                                   std::span<const std::uint64_t> cohort = {});
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] const data::InMemoryDataset& local_data() const {
@@ -124,8 +127,7 @@ class Client {
   std::unique_ptr<nn::Sequential> model_;
   index_t batch_size_;
   PreprocessorPtr preprocessor_;
-  PostprocessorPtr postprocessor_;  // nullptr = identity
-  ModelAuditor auditor_;            // empty = accept every model
+  ModelAuditor auditor_;  // empty = accept every model
   index_t local_steps_ = 1;
   real local_lr_ = 0.0;  // 0 → raw-gradient mode
   bool round_keyed_rng_ = false;

@@ -7,8 +7,6 @@
 namespace oasis::fl {
 
 void run_client_stage(std::span<ClientSlot> slots, const TrainFn& train,
-                      const DefenseStack* defense,
-                      std::span<const std::uint64_t> cohort,
                       const FaultPlan& plan, std::uint64_t ticket,
                       index_t attempt) {
   static obs::Counter& trained = obs::counter("fl.clients_trained");
@@ -35,11 +33,6 @@ void run_client_stage(std::span<ClientSlot> slots, const TrainFn& train,
         continue;
       }
       s.deliveries = 1;
-      // Client-side defenses run where the client runs — after training,
-      // before the update crosses the (faulty) wire.
-      if (defense != nullptr && !defense->empty()) {
-        defense->apply(s.update, cohort);
-      }
     }
   });
 

@@ -108,10 +108,11 @@ common::Rng DefenseStack::stream(std::uint64_t round, std::uint64_t client_id,
 }
 
 void DefenseStack::apply(std::vector<tensor::Tensor>& gradients,
-                         const DefenseContext& ctx) const {
+                         DefenseContext ctx) const {
   static obs::Counter& applied = obs::counter("fl.defense.applied");
   if (defenses_.empty()) return;
   applied.add(1);
+  if (ctx.cohort.empty()) ctx.cohort = static_cohort_;
   for (std::size_t i = 0; i < defenses_.size(); ++i) {
     common::Rng rng = stream(ctx.round, ctx.client_id, i);
     defenses_[i]->apply(gradients, rng, ctx);
@@ -121,14 +122,8 @@ void DefenseStack::apply(std::vector<tensor::Tensor>& gradients,
 void DefenseStack::apply(ClientUpdateMessage& update,
                          std::span<const std::uint64_t> cohort) const {
   if (defenses_.empty()) return;
-  DefenseContext ctx;
-  ctx.round = update.round;
-  ctx.client_id = update.client_id;
-  ctx.cohort = cohort.empty()
-                   ? std::span<const std::uint64_t>(static_cohort_)
-                   : cohort;
   auto gradients = tensor::deserialize_tensors(update.gradients);
-  apply(gradients, ctx);
+  apply(gradients, DefenseContext{update.round, update.client_id, cohort});
   update.gradients = tensor::serialize_tensors(gradients);
 }
 

@@ -1,12 +1,16 @@
-// Composable client-side update defenses (ROADMAP item 5).
+// Composable client-side update defenses.
 //
 // A Defense is one per-update transform of the gradient tensors a client is
 // about to upload: L2 norm clipping, Gaussian DP noise, pairwise
-// secure-aggregation masking (wrapping fl::SecureAggregationSession). An
-// ordered DefenseStack composes them; the OASIS augmentation itself is
-// carried as a hook on the stack (it operates on the training BATCH before
-// gradients exist — see fl/preprocessor.h — so the stack records the request
-// and federation builders install the preprocessor on their clients).
+// secure-aggregation masking (wrapping fl::SecureAggregationSession), and
+// the Related-Work baselines in core/baselines.h (top-k pruning). An ordered
+// DefenseStack composes them, and Client::handle_round is the one place it
+// runs: on the gradient tensors, before their only serialization, in every
+// engine (fl::Simulation, fl::ShardedSimulation, net::FlClient). The OASIS
+// augmentation itself is carried as a hook on the stack (it operates on the
+// training BATCH before gradients exist — see fl/preprocessor.h — so the
+// stack records the request and federation builders install the
+// preprocessor on their clients).
 //
 // Determinism contract. Every randomized stage draws from a stream that is a
 // pure function of (stack seed, defense index, round, client id), derived
@@ -33,8 +37,8 @@ namespace oasis::fl {
 
 /// Per-application context a Defense may consult. `cohort` is the round's
 /// full participant list when the engine knows it (fl::Simulation and the
-/// sharded engine supply it); empty on the socket path, where cohort-aware
-/// stages fall back to the stack's static cohort.
+/// sharded engine supply it); empty on the socket path, where
+/// DefenseStack::apply substitutes the stack's static cohort.
 struct DefenseContext {
   std::uint64_t round = 0;
   std::uint64_t client_id = 0;
@@ -139,17 +143,17 @@ class DefenseStack {
   void set_static_cohort(std::vector<std::uint64_t> cohort) {
     static_cohort_ = std::move(cohort);
   }
-  [[nodiscard]] const std::vector<std::uint64_t>& static_cohort() const {
-    return static_cohort_;
-  }
 
-  /// Applies every stage in order to already-deserialized gradients.
+  /// Applies every stage in order to the gradient tensors. An empty
+  /// ctx.cohort falls back to the static cohort.
   void apply(std::vector<tensor::Tensor>& gradients,
-             const DefenseContext& ctx) const;
+             DefenseContext ctx) const;
 
-  /// Wire-level convenience: deserialize → apply → reserialize. No-op for an
-  /// empty stack (the honest path stays copy-free). `cohort` empty falls
-  /// back to the static cohort.
+  /// Wire-level form for harnesses that replay a client from outside an
+  /// engine: deserialize → apply → reserialize an already-encoded update.
+  /// The bytes equal those of Client::handle_round given this stack, since
+  /// decoding an encoded payload returns the same bits. The engines never
+  /// call it. No-op for an empty stack.
   void apply(ClientUpdateMessage& update,
              std::span<const std::uint64_t> cohort = {}) const;
 

@@ -196,9 +196,9 @@ void ShardedSimulation::process_shard() {
       slots,
       [&](index_t i) {
         return population_.make_client(slots[i].id)->handle_round(
-            dispatched[i]);
+            dispatched[i], defense_.get(), defense_cohort_);
       },
-      defense_.get(), defense_cohort_, fault_plan_, ticket_, /*attempt=*/0);
+      fault_plan_, ticket_, /*attempt=*/0);
 
   // Serial fold in cohort order — the determinism linchpin (see shard.h).
   // One screen per shard suffices: cohort member ids are distinct across

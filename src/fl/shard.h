@@ -163,12 +163,12 @@ class ShardedSimulation : public ckpt::Checkpointed<ShardedSimulation> {
   void set_shard_hook(ShardHook hook) { shard_hook_ = std::move(hook); }
   void set_client_hook(ClientHook hook) { client_hook_ = std::move(hook); }
 
-  /// Installs the client-side defense stack, applied to every update inside
-  /// the shard's parallel training region (before wire faults). A
-  /// cohort-free stack (clip/noise) keeps the engine strictly O(shard); a
-  /// stack whose mask stage requires_cohort() materializes one O(cohort)
-  /// id list per round (Fisher–Yates already pays this; hash-threshold
-  /// collects ids during its existing pre-count scan). nullptr disables.
+  /// Installs the client-side defense stack, which each client's handle_round
+  /// applies inside the shard's parallel training region (before wire faults).
+  /// A cohort-free stack (clip/noise) keeps the engine strictly O(shard); a
+  /// stack whose mask stage requires_cohort() materializes one O(cohort) id
+  /// list per round (Fisher–Yates already pays this; hash-threshold collects
+  /// ids during its existing pre-count scan). nullptr disables.
   void set_defense_stack(DefenseStackPtr stack) { defense_ = std::move(stack); }
   [[nodiscard]] const DefenseStackPtr& defense_stack() const {
     return defense_;

@@ -121,9 +121,10 @@ std::vector<std::uint64_t> Simulation::run_round() {
         responders,
         [&](index_t slot) {
           const index_t sel = responder_sel[slot];
-          return clients_[selected[sel]]->handle_round(dispatched[sel]);
+          return clients_[selected[sel]]->handle_round(dispatched[sel],
+                                                       defense_.get(), ids);
         },
-        defense_.get(), ids, fault_plan_, ticket, attempt);
+        fault_plan_, ticket, attempt);
     for (auto& r : responders) {
       if (r.deliveries == 2) collected.push_back(r.update);
       if (r.deliveries > 0) collected.push_back(std::move(r.update));

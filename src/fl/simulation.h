@@ -75,13 +75,13 @@ class Simulation : public ckpt::Checkpointed<Simulation> {
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
 
-  /// Installs the client-side defense stack (clip / noise / secagg mask),
-  /// applied to every update right after local training — inside the
-  /// parallel region, before wire faults touch the payload. The stack is
-  /// shared immutable state: its per-stage rng streams are pure functions of
-  /// (stack seed, round, client), so results stay bit-identical at any
-  /// thread count. The mask stage receives this round's selected cohort.
-  /// nullptr (default) disables defenses.
+  /// Installs the client-side defense stack (clip / noise / secagg mask /
+  /// pruning), which each client's handle_round applies to its gradients before
+  /// serializing them — inside the parallel region, before wire faults touch
+  /// the payload. The stack is shared immutable state: its per-stage rng
+  /// streams are pure functions of (stack seed, round, client), so results stay
+  /// bit-identical at any thread count. The mask stage receives this round's
+  /// selected cohort. nullptr (default) disables defenses.
   void set_defense_stack(DefenseStackPtr stack) { defense_ = std::move(stack); }
   [[nodiscard]] const DefenseStackPtr& defense_stack() const {
     return defense_;

@@ -169,7 +169,7 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
   }
   fl::ClientUpdateMessage update;
   try {
-    update = core_.handle_round(msg);
+    update = core_.handle_round(msg, defense_.get());
   } catch (const AuditError&) {
     // The audit gate refused the dispatched model. Graceful refusal = silent
     // non-reply: the session stays up (an honest client has nothing to
@@ -181,9 +181,6 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     ++refused_;
     return;
   }
-  // Client-side defenses run before the fault hook and before framing, so
-  // the wire — and the byte-exact frame cache — carry the defended update.
-  if (defense_ && !defense_->empty()) defense_->apply(update);
   UpdateFault fault;
   if (fault_hook_) fault = fault_hook_(msg.round, update);
   switch (fault.action) {

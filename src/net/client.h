@@ -113,8 +113,8 @@ class FlClient {
   /// Installs the delivery-fault hook (load bench; default = send all).
   void set_fault_hook(FaultHook hook);
 
-  /// Installs the client-side defense stack, applied to every freshly
-  /// trained update before the fault hook and before framing — so the wire
+  /// Installs the client-side defense stack, which the core's handle_round
+  /// applies before the fault hook and before framing — so the wire
   /// (and the frame cache) carries the defended bytes. A mask stage needs
   /// the stack's static cohort (DefenseStack::set_static_cohort): the wire
   /// protocol does not announce the round's membership. nullptr disables.

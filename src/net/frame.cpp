@@ -1,5 +1,7 @@
 #include "net/frame.h"
 
+#include <cstring>
+
 namespace oasis::net {
 namespace {
 
@@ -15,21 +17,32 @@ ByteReader body_reader(const tensor::ByteBuffer& body, const char* what) {
   });
 }
 
-tensor::ByteBuffer make_frame(FrameType type, const ByteWriter& body = {}) {
+/// Starts a frame: the 5-byte header with a zero length that finish_frame()
+/// patches, so the body is written once, straight into the frame's buffer.
+ByteWriter begin_frame(FrameType type, std::size_t body_bytes = 0) {
   ByteWriter out;
-  out.reserve(kFrameHeaderBytes + body.size());
-  out.u32(static_cast<std::uint32_t>(body.size()));
+  out.reserve(kFrameHeaderBytes + body_bytes);
+  out.u32(0);
   out.u8(static_cast<std::uint8_t>(type));
-  out.append(body.bytes().data(), body.size());
-  return out.take();
+  return out;
 }
 
-/// The magic + version words every handshake body opens with.
-ByteWriter handshake_body(std::uint32_t version = kProtocolVersion) {
-  ByteWriter body;
-  body.u32(kProtocolMagic);
-  body.u32(version);
-  return body;
+tensor::ByteBuffer finish_frame(ByteWriter out) {
+  tensor::ByteBuffer frame = out.take();
+  const auto body_len =
+      static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes);
+  std::memcpy(frame.data(), &body_len, sizeof(body_len));
+  return frame;
+}
+
+/// A handshake frame opened with the magic + version words every handshake
+/// body starts with.
+ByteWriter begin_handshake(FrameType type,
+                           std::uint32_t version = kProtocolVersion) {
+  ByteWriter out = begin_frame(type);
+  out.u32(kProtocolMagic);
+  out.u32(version);
+  return out;
 }
 
 void check_magic(ByteReader& r, const char* what) {
@@ -72,73 +85,73 @@ const char* to_string(FrameType t) {
 }
 
 tensor::ByteBuffer encode_hello(const Hello& hello) {
-  ByteWriter body = handshake_body();
-  body.u64(hello.client_id);
-  return make_frame(FrameType::kHello, body);
+  ByteWriter out = begin_handshake(FrameType::kHello);
+  out.u64(hello.client_id);
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_welcome(const Welcome& welcome) {
-  ByteWriter body = handshake_body();
-  body.u64(welcome.round);
-  return make_frame(FrameType::kWelcome, body);
+  ByteWriter out = begin_handshake(FrameType::kWelcome);
+  out.u64(welcome.round);
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_model(const fl::GlobalModelMessage& msg) {
-  ByteWriter body;
-  body.reserve(8 + msg.model_state.size());
-  body.u64(msg.round);
-  body.append(msg.model_state.data(), msg.model_state.size());
-  return make_frame(FrameType::kModel, body);
+  ByteWriter out = begin_frame(FrameType::kModel, 8 + msg.model_state.size());
+  out.u64(msg.round);
+  out.append(msg.model_state.data(), msg.model_state.size());
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_update(const fl::ClientUpdateMessage& msg) {
-  ByteWriter body;
-  body.reserve(24 + msg.gradients.size());
-  body.u64(msg.round);
-  body.u64(msg.client_id);
-  body.u64(msg.num_examples);
-  body.append(msg.gradients.data(), msg.gradients.size());
-  return make_frame(FrameType::kUpdate, body);
+  ByteWriter out = begin_frame(FrameType::kUpdate, 24 + msg.gradients.size());
+  out.u64(msg.round);
+  out.u64(msg.client_id);
+  out.u64(msg.num_examples);
+  out.append(msg.gradients.data(), msg.gradients.size());
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_retry_after(std::uint64_t retry_after_ms) {
-  ByteWriter body;
-  body.u64(retry_after_ms);
-  return make_frame(FrameType::kRetryAfter, body);
+  ByteWriter out = begin_frame(FrameType::kRetryAfter);
+  out.u64(retry_after_ms);
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_round_result(const RoundResult& result) {
-  ByteWriter body;
-  body.u64(result.round);
-  body.u8(result.committed ? 1 : 0);
-  return make_frame(FrameType::kRoundResult, body);
+  ByteWriter out = begin_frame(FrameType::kRoundResult);
+  out.u64(result.round);
+  out.u8(result.committed ? 1 : 0);
+  return finish_frame(std::move(out));
 }
 
-tensor::ByteBuffer encode_goodbye() { return make_frame(FrameType::kGoodbye); }
+tensor::ByteBuffer encode_goodbye() {
+  return finish_frame(begin_frame(FrameType::kGoodbye));
+}
 
 tensor::ByteBuffer encode_resume(const Resume& resume) {
-  ByteWriter body = handshake_body();
-  body.u64(resume.client_id);
-  body.u64(resume.last_round);
-  body.u8(resume.has_update ? 1 : 0);
-  body.u64(resume.update_round);
-  return make_frame(FrameType::kResume, body);
+  ByteWriter out = begin_handshake(FrameType::kResume);
+  out.u64(resume.client_id);
+  out.u64(resume.last_round);
+  out.u8(resume.has_update ? 1 : 0);
+  out.u64(resume.update_round);
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_resume_ack(const ResumeAck& ack) {
-  ByteWriter body = handshake_body();
-  body.u64(ack.round);
-  body.u8(static_cast<std::uint8_t>(ack.status));
-  return make_frame(FrameType::kResumeAck, body);
+  ByteWriter out = begin_handshake(FrameType::kResumeAck);
+  out.u64(ack.round);
+  out.u8(static_cast<std::uint8_t>(ack.status));
+  return finish_frame(std::move(out));
 }
 
 tensor::ByteBuffer encode_heartbeat() {
-  return make_frame(FrameType::kHeartbeat);
+  return finish_frame(begin_frame(FrameType::kHeartbeat));
 }
 
 tensor::ByteBuffer encode_version_reject(const VersionReject& reject) {
-  return make_frame(FrameType::kVersionReject,
-                    handshake_body(reject.supported_version));
+  return finish_frame(
+      begin_handshake(FrameType::kVersionReject, reject.supported_version));
 }
 
 Hello decode_hello(const tensor::ByteBuffer& body) {

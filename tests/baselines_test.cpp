@@ -1,5 +1,6 @@
-// Tests for the baseline defenses (DP mechanism, pruning), the update
-// postprocessor wiring, and implant detection.
+// Tests for the baseline defenses (the DP mechanism as a clip+noise stack,
+// pruning as a defense stage), the client applying its stack before upload,
+// and implant detection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,31 +23,43 @@ std::vector<tensor::Tensor> toy_grads() {
           tensor::Tensor({2}, {0.0, 12.0})};
 }
 
+/// The stack's tensor-level form at round 0, client 0.
+std::vector<tensor::Tensor> defend(const std::string& spec,
+                                   std::vector<tensor::Tensor> grads) {
+  fl::parse_defense_stack(spec)->apply(grads, fl::DefenseContext{});
+  return grads;
+}
+
+/// TopKPruning through fl::Defense::apply; the rng is never drawn.
+std::vector<tensor::Tensor> prune(const TopKPruning& stage,
+                                  std::vector<tensor::Tensor> grads,
+                                  common::Rng& rng) {
+  const common::Rng::State before = rng.state();
+  stage.apply(grads, rng, fl::DefenseContext{});
+  EXPECT_EQ(rng.state().words, before.words);
+  EXPECT_EQ(rng.state().has_spare, before.has_spare);
+  return grads;
+}
+
+// The Gaussian mechanism is the stack "clip:C,noise:σ·C".
 TEST(DpMechanism, ClipsGlobalNormWithoutNoise) {
-  DpGaussianMechanism dp(/*clip_norm=*/6.5, /*noise_multiplier=*/0.0);
-  common::Rng rng(1);
   // Global norm = sqrt(9+16+144) = 13 → scale 0.5.
-  const auto out = dp.process(toy_grads(), rng);
+  const auto out = defend("clip:6.5", toy_grads());
   EXPECT_DOUBLE_EQ(out[0][0], 1.5);
   EXPECT_DOUBLE_EQ(out[0][1], -2.0);
   EXPECT_DOUBLE_EQ(out[1][1], 6.0);
 }
 
 TEST(DpMechanism, LeavesSmallUpdatesUnclipped) {
-  DpGaussianMechanism dp(100.0, 0.0);
-  common::Rng rng(2);
-  const auto out = dp.process(toy_grads(), rng);
+  const auto out = defend("clip:100", toy_grads());
   EXPECT_DOUBLE_EQ(out[0][0], 3.0);
   EXPECT_DOUBLE_EQ(out[1][1], 12.0);
 }
 
 TEST(DpMechanism, NoiseHasCalibratedScale) {
-  const real clip = 2.0, sigma = 0.5;
-  DpGaussianMechanism dp(clip, sigma);
-  common::Rng rng(3);
-  // Zero gradients: output is pure noise with stddev sigma*clip = 1.
-  std::vector<tensor::Tensor> zeros{tensor::Tensor({10000})};
-  const auto out = dp.process(zeros, rng);
+  // C = 2, σ = 0.5 → noise stddev σ·C = 1. Zero gradients: the output is
+  // pure noise.
+  const auto out = defend("clip:2,noise:1", {tensor::Tensor({10000})});
   real sq = 0.0;
   for (const auto v : out[0].data()) sq += v * v;
   const real stddev = std::sqrt(sq / 10000.0);
@@ -54,16 +67,15 @@ TEST(DpMechanism, NoiseHasCalibratedScale) {
 }
 
 TEST(DpMechanism, RejectsBadParameters) {
-  EXPECT_THROW(DpGaussianMechanism(0.0, 1.0), Error);
-  EXPECT_THROW(DpGaussianMechanism(1.0, -0.1), Error);
+  EXPECT_THROW(fl::parse_defense_stack("clip:0,noise:1"), ConfigError);
+  EXPECT_THROW(fl::parse_defense_stack("clip:1,noise:-0.1"), ConfigError);
 }
 
 TEST(TopKPruning, KeepsExactlyTheLargestEntries) {
-  TopKPruning prune(0.5);
   common::Rng rng(4);
-  std::vector<tensor::Tensor> grads{
-      tensor::Tensor({4}, {0.1, -5.0, 2.0, -0.2})};
-  const auto out = prune.process(grads, rng);
+  const auto out =
+      prune(TopKPruning(0.5), {tensor::Tensor({4}, {0.1, -5.0, 2.0, -0.2})},
+            rng);
   EXPECT_DOUBLE_EQ(out[0][0], 0.0);
   EXPECT_DOUBLE_EQ(out[0][1], -5.0);
   EXPECT_DOUBLE_EQ(out[0][2], 2.0);
@@ -71,19 +83,17 @@ TEST(TopKPruning, KeepsExactlyTheLargestEntries) {
 }
 
 TEST(TopKPruning, KeepAllIsIdentity) {
-  TopKPruning prune(1.0);
   common::Rng rng(5);
-  auto grads = toy_grads();
-  const auto out = prune.process(grads, rng);
+  const auto grads = toy_grads();
+  const auto out = prune(TopKPruning(1.0), grads, rng);
   EXPECT_TRUE(out[0] == grads[0]);
   EXPECT_TRUE(out[1] == grads[1]);
 }
 
 TEST(TopKPruning, SparsityMatchesFraction) {
-  TopKPruning prune(0.1);
   common::Rng rng(6);
   std::vector<tensor::Tensor> grads{tensor::Tensor::randn({1000}, rng)};
-  const auto out = prune.process(grads, rng);
+  const auto out = prune(TopKPruning(0.1), grads, rng);
   index_t nonzero = 0;
   for (const auto v : out[0].data()) {
     if (v != 0.0) ++nonzero;
@@ -93,7 +103,7 @@ TEST(TopKPruning, SparsityMatchesFraction) {
   EXPECT_THROW(TopKPruning(1.5), Error);
 }
 
-TEST(Postprocessor, ClientAppliesItBeforeUpload) {
+TEST(ClientDefense, ClientAppliesItBeforeUpload) {
   data::SynthConfig cfg;
   cfg.num_classes = 4;
   cfg.height = cfg.width = 8;
@@ -107,14 +117,13 @@ TEST(Postprocessor, ClientAppliesItBeforeUpload) {
   fl::Client client(0, dataset, factory, 4,
                     std::make_shared<fl::IdentityPreprocessor>(),
                     common::Rng(10));
-  // Mechanism with zero noise and tiny clip: every uploaded tensor must have
-  // tiny global norm.
-  client.set_update_postprocessor(
-      std::make_shared<DpGaussianMechanism>(1e-3, 0.0));
+  // A tiny clip and no noise: every uploaded update must have tiny global
+  // norm.
+  const auto clip = fl::parse_defense_stack("clip:0.001");
   auto model = factory();
   fl::GlobalModelMessage msg;
   msg.model_state = nn::serialize_state(*model);
-  const auto update = client.handle_round(msg);
+  const auto update = client.handle_round(msg, clip.get());
   const auto grads = tensor::deserialize_tensors(update.gradients);
   real sq = 0.0;
   for (const auto& g : grads) {
@@ -140,7 +149,7 @@ TEST(Baselines, DpNoiseBlindsRtfButOasisKeepsGradientsExact) {
   exp.num_batches = 2;
   exp.seed = 5;
   const auto undefended = run_attack_experiment(victim, aux, exp);
-  exp.postprocessor = std::make_shared<DpGaussianMechanism>(1.0, 1e-2);
+  exp.defense = fl::parse_defense_stack("clip:1,noise:0.01");
   const auto dp = run_attack_experiment(victim, aux, exp);
   EXPECT_GT(undefended.mean_psnr(), 80.0);
   EXPECT_LT(dp.mean_psnr(), 30.0);

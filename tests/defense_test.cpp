@@ -5,6 +5,8 @@
 //     (stack seed, round, client, stage index) — defended federations are
 //     byte-identical at 1 vs 8 threads, with identical fl.defense.* counters;
 //   * parse_defense_stack round-trips specs and rejects malformed ones;
+//   * a stack passed to Client::handle_round uploads the same bytes as the
+//     wire-level DefenseStack::apply on the undefended update;
 //   * pairwise masks cancel in the equal-weight full-cohort sum;
 //   * the client-side audit gate (attack::make_model_auditor) refuses RTF and
 //     half-negative-trap CAH implants, never refuses an honest init across
@@ -26,6 +28,7 @@
 #include "attack/audit.h"
 #include "attack/cah.h"
 #include "attack/rtf.h"
+#include "core/baselines.h"
 #include "data/synthetic.h"
 #include "fl/defense.h"
 #include "fl/fault.h"
@@ -282,6 +285,65 @@ TEST(DefenseDeterminism, StageCountersLandPerStage) {
   EXPECT_EQ(run.counters.at("fl.defense.clip"), 12u);
   EXPECT_EQ(run.counters.at("fl.defense.clip.active"), 12u);
   EXPECT_EQ(run.counters.at("fl.defense.noise"), 12u);
+}
+
+// --- One defense path --------------------------------------------------------
+
+// The client applies its stack to the gradient tensors before its only
+// encode; a harness replaying a client from outside an engine applies the
+// wire-level form to the encoded update instead. Both must upload the same
+// bytes, round after round (the stack never touches the client's rng).
+TEST(DefenseDifferential, ClientStackMatchesTheWireLevelForm) {
+  const auto data = tiny_dataset(/*per_class=*/4, /*seed=*/71);
+  const std::vector<std::uint64_t> cohort{0, 1, 2, 3};
+  const auto prune = std::make_shared<DefenseStack>();
+  prune->add(std::make_unique<core::TopKPruning>(0.1));
+  const auto static_mask = parse_defense_stack("mask");
+  static_mask->set_static_cohort(cohort);
+
+  struct Case {
+    std::string label;
+    DefenseStackPtr stack;
+    std::vector<std::uint64_t> cohort;
+    index_t local_steps;
+  };
+  const std::vector<Case> cases{
+      {"clip", parse_defense_stack("clip:0.01"), {}, 1},
+      {"clip+noise", parse_defense_stack("clip:1,noise:0.01"), {}, 1},
+      {"mask, explicit cohort", parse_defense_stack("mask"), cohort, 1},
+      {"mask, static cohort", static_mask, {}, 1},
+      {"topk", prune, {}, 1},
+      {"clip+noise, 3 local steps", parse_defense_stack("clip:1,noise:0.01"),
+       {}, 3},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    const auto make = [&] {
+      auto client = std::make_unique<Client>(
+          /*id=*/2, data, host_factory(40), /*batch_size=*/3,
+          std::make_shared<IdentityPreprocessor>(), common::Rng(808));
+      if (c.local_steps > 1) client->set_local_training(c.local_steps, 0.05);
+      return client;
+    };
+    auto inside = make();
+    auto outside = make();
+    Server server(host_factory(41)(), 0.1);
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      server.begin_round();
+      const GlobalModelMessage msg = server.dispatch_to(2);
+      const auto defended = inside->handle_round(msg, c.stack.get(), c.cohort);
+      auto replayed = outside->handle_round(msg);
+      const tensor::ByteBuffer raw = replayed.gradients;
+      c.stack->apply(replayed, c.cohort);
+      EXPECT_EQ(defended.round, replayed.round);
+      EXPECT_EQ(defended.client_id, replayed.client_id);
+      EXPECT_EQ(defended.num_examples, replayed.num_examples);
+      EXPECT_EQ(defended.gradients, replayed.gradients) << "round " << round;
+      EXPECT_NE(defended.gradients, raw);  // the stack did transform it
+      std::vector<ClientUpdateMessage> updates{defended};
+      server.finish_round(updates);
+    }
+  }
 }
 
 // --- Audit gate --------------------------------------------------------------
