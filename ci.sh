@@ -27,9 +27,11 @@
 #   ./ci.sh            # all default stages
 #   ./ci.sh release    # Release + full ctest, then compile perfbench/
 #   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
-#   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label under
-#                      # each forced OASIS_GEMM_ISA with ASan/UBSan, then the
-#                      # 8-thread sweeps (intra-GEMM parallel path) under TSan
+#   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label and
+#                      # the Conv2d golden fixture under each forced
+#                      # OASIS_GEMM_ISA and under OASIS_NAIVE_GEMM=1 with
+#                      # ASan/UBSan, then the 8-thread sweeps (intra-GEMM
+#                      # parallel path) under TSan
 #   ./ci.sh chaos      # ASan build + chaos label only
 #   ./ci.sh crash      # ASan build + crash label only (SIGKILL harness)
 #   ./ci.sh net        # ASan build + net label, then a TSan loopback round
@@ -81,10 +83,12 @@ run_kernel() {
   # have different pack paddings than the 4×8 double tile); the TSan pass
   # then drives the intra-GEMM row-panel parallel path — the 8-thread
   # differential sweeps — where a racy B-panel pack or C-tile store would
-  # surface.
+  # surface. The Conv2d golden fixture rides along under every ISA and the
+  # naive oracle: Conv2d's sample chunks index per-thread workspace buffers
+  # and per-sample gradient tiles, and ASan/UBSan catch an overrun there.
   echo "==> [ci] Kernel stage: per-ISA differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target kernel_diff_test
+  cmake --build build-asan -j "${jobs}" --target kernel_diff_test conv_golden_test
   isas="scalar"
   if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null \
      && grep -q fma /proc/cpuinfo 2>/dev/null; then
@@ -98,7 +102,11 @@ run_kernel() {
     echo "==> [ci] kernel label under forced OASIS_GEMM_ISA=${isa}"
     OASIS_GEMM_ISA="${isa}" ctest --test-dir build-asan --output-on-failure \
       -j "${jobs}" -L kernel
+    echo "==> [ci] Conv2d golden fixture under forced OASIS_GEMM_ISA=${isa}"
+    OASIS_GEMM_ISA="${isa}" ./build-asan/tests/conv_golden_test
   done
+  echo "==> [ci] Conv2d golden fixture under OASIS_NAIVE_GEMM=1"
+  OASIS_NAIVE_GEMM=1 ./build-asan/tests/conv_golden_test
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target kernel_diff_test
   for isa in ${isas}; do

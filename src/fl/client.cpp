@@ -106,7 +106,7 @@ ClientUpdateMessage Client::handle_round(
             ? ce_loss_.compute(logits, training_batch.labels)
             : bce_loss_.compute(logits, training_batch.labels);
     last_loss_ = loss.loss;
-    model_->backward(loss.grad_logits);
+    model_->backward_params(loss.grad_logits);
 
     if (local_steps_ > 1) {
       // Plain local SGD step; the accumulated drift is uploaded below.

@@ -1,5 +1,6 @@
 #include "nn/activations.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/ops.h"
@@ -7,12 +8,26 @@
 namespace oasis::nn {
 
 tensor::Tensor ReLU::forward(const tensor::Tensor& x, bool /*training*/) {
-  cached_pre_ = x;
-  return tensor::relu(x);
+  shape_ = x.shape();
+  keep_.resize(x.size());
+  tensor::Tensor y(x.shape());
+  const auto in = x.data();
+  auto out = y.data();
+  for (index_t i = 0; i < in.size(); ++i) {
+    out[i] = std::max(in[i], 0.0);  // tensor::relu's expression
+    keep_[i] = !(in[i] <= 0.0);
+  }
+  return y;
 }
 
 tensor::Tensor ReLU::backward(const tensor::Tensor& grad_out) {
-  return tensor::relu_backward(grad_out, cached_pre_);
+  tensor::check_same_shape(grad_out.shape(), shape_, "ReLU backward");
+  tensor::Tensor grad_in = grad_out;
+  auto g = grad_in.data();
+  for (index_t i = 0; i < g.size(); ++i) {
+    if (keep_[i] == 0) g[i] = 0.0;
+  }
+  return grad_in;
 }
 
 tensor::Tensor Tanh::forward(const tensor::Tensor& x, bool /*training*/) {

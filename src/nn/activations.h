@@ -1,6 +1,9 @@
 // Stateless activation layers.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/module.h"
 
 namespace oasis::nn {
@@ -15,7 +18,11 @@ class ReLU : public Module {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor cached_pre_;
+  // keep[i] = !(x[i] <= 0): the gradient passes where the input was
+  // positive or NaN, as tensor::relu_backward decides. One byte per element
+  // instead of a copy of the input; the storage is reused across calls.
+  std::vector<std::uint8_t> keep_;
+  tensor::Shape shape_;
 };
 
 /// Hyperbolic tangent (used by some baseline models).

@@ -1,5 +1,7 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "nn/init.h"
@@ -10,6 +12,96 @@
 #include "tensor/ops.h"
 
 namespace oasis::nn {
+
+namespace {
+
+// Doubles of im2col columns per sample chunk: 512 KiB, a quarter of a
+// 2 MiB per-core L2, so a chunk's columns, its GEMM output and the packed
+// weight stay L2-resident. MiniConvNet's first layer (27 × 576 columns per
+// sample) runs 4 samples per chunk, its second (72 × 144) 6.
+constexpr index_t kChunkColumns = index_t{1} << 16;
+
+/// Geometry of one image through the layer.
+struct ConvGeom {
+  index_t in_ch, h, w, k, stride, pad, oh, ow;
+  [[nodiscard]] index_t pix() const { return oh * ow; }
+  [[nodiscard]] index_t patch() const { return in_ch * k * k; }
+  [[nodiscard]] index_t image() const { return in_ch * h * w; }
+  /// Source row (or column) read by output position `o` at tap `t`; outside
+  /// [0, extent) it falls in the zero padding.
+  [[nodiscard]] std::ptrdiff_t in_index(index_t o, index_t t) const {
+    return static_cast<std::ptrdiff_t>(o * stride + t) -
+           static_cast<std::ptrdiff_t>(pad);
+  }
+};
+
+/// Patch-major im2col of one [in_ch, h, w] image: row p = oi·ow + oj of
+/// `dst` holds output pixel p's in_ch·k·k taps in (ch, ki, kj) order — the
+/// column order of the weight matrix. Padding taps are written as 0.
+void im2col_patches(const real* src, const ConvGeom& g, real* dst) {
+  const auto h = static_cast<std::ptrdiff_t>(g.h);
+  const auto w = static_cast<std::ptrdiff_t>(g.w);
+  for (index_t oi = 0; oi < g.oh; ++oi) {
+    for (index_t oj = 0; oj < g.ow; ++oj) {
+      real* d = dst + (oi * g.ow + oj) * g.patch();
+      for (index_t ch = 0; ch < g.in_ch; ++ch) {
+        for (index_t ki = 0; ki < g.k; ++ki, d += g.k) {
+          const std::ptrdiff_t si = g.in_index(oi, ki);
+          if (si < 0 || si >= h) {
+            std::fill(d, d + g.k, 0.0);
+            continue;
+          }
+          const real* srow = src + (ch * g.h + static_cast<index_t>(si)) * g.w;
+          for (index_t kj = 0; kj < g.k; ++kj) {
+            const std::ptrdiff_t sj = g.in_index(oj, kj);
+            d[kj] = sj >= 0 && sj < w ? srow[sj] : 0.0;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Adjoint of im2col_patches: adds one image's patch-major columns onto the
+/// [in_ch, h, w] image at `dst`. The loops run in tensor::col2im_add's
+/// (ch, ki, kj, oi, oj) order, so every image element receives its
+/// contributions in the same sequence and the sums keep their bits.
+void col2im_patches_add(const real* src, const ConvGeom& g, real* dst) {
+  const auto h = static_cast<std::ptrdiff_t>(g.h);
+  const auto w = static_cast<std::ptrdiff_t>(g.w);
+  const index_t patch = g.patch();
+  for (index_t ch = 0; ch < g.in_ch; ++ch) {
+    for (index_t ki = 0; ki < g.k; ++ki) {
+      for (index_t kj = 0; kj < g.k; ++kj) {
+        const real* col = src + (ch * g.k + ki) * g.k + kj;
+        for (index_t oi = 0; oi < g.oh; ++oi) {
+          const std::ptrdiff_t si = g.in_index(oi, ki);
+          if (si < 0 || si >= h) continue;
+          real* drow = dst + (ch * g.h + static_cast<index_t>(si)) * g.w;
+          const real* s = col + oi * g.ow * patch;
+          for (index_t oj = 0; oj < g.ow; ++oj) {
+            const std::ptrdiff_t sj = g.in_index(oj, kj);
+            if (sj >= 0 && sj < w) drow[sj] += s[oj * patch];
+          }
+        }
+      }
+    }
+  }
+}
+
+ConvGeom make_geom(index_t in_ch, index_t h, index_t w, index_t k,
+                   index_t stride, index_t pad) {
+  return {in_ch, h, w, k, stride, pad,
+          tensor::conv_out_extent(h, k, stride, pad),
+          tensor::conv_out_extent(w, k, stride, pad)};
+}
+
+/// Samples per chunk: as many as fit kChunkColumns, at least one.
+index_t chunk_samples(const ConvGeom& g) {
+  return std::max<index_t>(1, kChunkColumns / (g.patch() * g.pix()));
+}
+
+}  // namespace
 
 Conv2d::Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
                index_t stride, index_t pad, common::Rng& rng)
@@ -28,49 +120,46 @@ Conv2d::Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
 tensor::Tensor Conv2d::forward(const tensor::Tensor& x, bool /*training*/) {
   OASIS_CHECK_MSG(x.rank() == 4 && x.dim(1) == in_ch_,
                   "Conv2d: bad input " << tensor::to_string(x.shape()));
-  const index_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const index_t oh = tensor::conv_out_extent(h, k_, stride_, pad_);
-  const index_t ow = tensor::conv_out_extent(w, k_, stride_, pad_);
-  const index_t pix = oh * ow;
-  const index_t cols_rows = in_ch_ * k_ * k_;
-  cached_h_ = h;
-  cached_w_ = w;
-  cached_batch_ = batch;
-  // The column cache persists across rounds; steady-state training re-fills
-  // it in place with zero allocations.
-  if (cached_cols_.rank() != 3 || cached_cols_.dim(0) != batch ||
-      cached_cols_.dim(1) != cols_rows || cached_cols_.dim(2) != pix) {
-    cached_cols_ = tensor::Tensor({batch, cols_rows, pix});
-  }
+  const index_t batch = x.dim(0);
+  const ConvGeom g = make_geom(in_ch_, x.dim(2), x.dim(3), k_, stride_, pad_);
+  const index_t pix = g.pix(), patch = g.patch();
+  // Copy-assignment reuses the cached storage when the geometry repeats.
+  cached_input_ = x;
   if (obs::kernel_metrics_enabled()) {
     static obs::Counter& calls = obs::counter("kernel.conv2d.forward.calls");
     static obs::Counter& flops = obs::counter("kernel.conv2d.forward.flops");
     calls.add(1);
-    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * cols_rows *
-                                         pix));
+    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * patch * pix));
   }
 
-  tensor::Tensor y({batch, out_ch_, oh, ow});
+  tensor::Tensor y({batch, out_ch_, g.oh, g.ow});
   const real* px = x.data().data();
   const real* pw = weight_.value.data().data();
-  real* pcols = cached_cols_.data().data();
+  const real* pb = bias_.value.data().data();
   real* py = y.data().data();
-  // Samples are independent: each writes its own output slice and im2col
-  // cache slot, so the batch loop parallelizes with no ordering effects.
-  runtime::parallel_for(0, batch, 1, [&](index_t n0, index_t n1) {
+  // Chunks are independent: each writes its own samples' output slices.
+  runtime::parallel_for(0, batch, chunk_samples(g), [&](index_t n0,
+                                                        index_t n1) {
+    runtime::Workspace& ws = runtime::Workspace::tls();
+    runtime::Workspace::Scope scope(ws);
+    const index_t rows = (n1 - n0) * pix;
+    real* cols = ws.alloc(rows * patch);
+    real* out = ws.alloc(rows * out_ch_);
     for (index_t n = n0; n < n1; ++n) {
-      real* cols_n = pcols + n * cols_rows * pix;
-      tensor::im2col_into(px + n * in_ch_ * h * w, in_ch_, h, w, k_, k_,
-                          stride_, pad_, cols_n);
-      // y slice is zero-initialized, so the accumulating GEMM leaves exactly
-      // W·cols in it; the bias is then one add per output element.
-      real* y_n = py + n * out_ch_ * pix;
-      tensor::gemm::run(tensor::gemm::Variant::NN, out_ch_, cols_rows, pix, pw,
-                        cols_n, y_n);
+      im2col_patches(px + n * g.image(), g, cols + (n - n0) * pix * patch);
+    }
+    // out[row, c] = Σ_r cols[row, r]·W[c, r]: one +0.0-seeded FMA chain per
+    // element in ascending r, the chain the per-sample W·cols product ran.
+    std::memset(out, 0, sizeof(real) * rows * out_ch_);
+    tensor::gemm::run(tensor::gemm::Variant::NT, rows, patch, out_ch_, cols,
+                      pw, out);
+    // Back to NCHW with the bias added in the same pass.
+    for (index_t n = n0; n < n1; ++n) {
+      const real* out_n = out + (n - n0) * pix * out_ch_;
       for (index_t c = 0; c < out_ch_; ++c) {
-        const real b = bias_.value[c];
-        real* y_row = y_n + c * pix;
-        for (index_t p = 0; p < pix; ++p) y_row[p] += b;
+        const real b = pb[c];
+        real* y_row = py + (n * out_ch_ + c) * pix;
+        for (index_t p = 0; p < pix; ++p) y_row[p] = out_n[p * out_ch_ + c] + b;
       }
     }
   });
@@ -78,72 +167,96 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, bool /*training*/) {
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out) {
-  OASIS_CHECK_MSG(grad_out.rank() == 4 && grad_out.dim(0) == cached_batch_ &&
-                      grad_out.dim(1) == out_ch_,
+  return backward_impl(grad_out, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const tensor::Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/false);
+}
+
+tensor::Tensor Conv2d::backward_impl(const tensor::Tensor& grad_out,
+                                     bool input_grad) {
+  OASIS_CHECK_MSG(cached_input_.rank() == 4,
+                  "Conv2d backward: no matching forward");
+  const index_t batch = cached_input_.dim(0);
+  const ConvGeom g = make_geom(in_ch_, cached_input_.dim(2),
+                               cached_input_.dim(3), k_, stride_, pad_);
+  OASIS_CHECK_MSG(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
+                      grad_out.dim(1) == out_ch_ && grad_out.dim(2) == g.oh &&
+                      grad_out.dim(3) == g.ow,
                   "Conv2d backward: bad grad "
                       << tensor::to_string(grad_out.shape()));
-  const index_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const index_t pix = oh * ow;
-  const index_t cols_rows = in_ch_ * k_ * k_;
-  OASIS_CHECK_MSG(cached_cols_.rank() == 3 && cached_cols_.dim(2) == pix,
-                  "Conv2d backward: grad spatial extent mismatch");
+  const index_t pix = g.pix(), patch = g.patch();
+  const index_t tile_size = patch * out_ch_;
   if (obs::kernel_metrics_enabled()) {
     static obs::Counter& calls = obs::counter("kernel.conv2d.backward.calls");
     static obs::Counter& flops = obs::counter("kernel.conv2d.backward.flops");
     calls.add(1);
-    // Weight-gradient and input-gradient GEMMs, 2 flops per multiply-add.
-    flops.add(static_cast<std::uint64_t>(4 * cached_batch_ * out_ch_ *
-                                         cols_rows * pix));
+    // The weight-gradient GEMMs, plus the input-gradient GEMM when it runs;
+    // 2 flops per multiply-add.
+    flops.add(static_cast<std::uint64_t>((input_grad ? 4 : 2) * batch *
+                                         out_ch_ * patch * pix));
   }
-  const real* gy_base = grad_out.data().data();
-  const real* pcols = cached_cols_.data().data();
+  const real* px = cached_input_.data().data();
+  const real* gy = grad_out.data().data();
   const real* pw = weight_.value.data().data();
-  real* gw = weight_.grad.data().data();
-  real* gb = bias_.grad.data().data();
+  tensor::Tensor grad_x;
+  if (input_grad) grad_x = tensor::Tensor(cached_input_.shape());
+  real* gx = grad_x.data().data();
 
-  // Weight/bias gradients: per sample (ascending, so the accumulation order
-  // is fixed) one NT GEMM — grad_W += gy_n · cols_nᵀ — into a zeroed
-  // workspace tile that is then folded into the gradient. The GEMM
-  // parallelizes internally over row panels of out_ch; every per-element
-  // multiply-add chain matches the pre-blocking hand loop bit-for-bit.
-  {
-    runtime::Workspace& ws = runtime::Workspace::tls();
-    runtime::Workspace::Scope scope(ws);
-    real* tile = ws.alloc(out_ch_ * cols_rows);
-    for (index_t n = 0; n < cached_batch_; ++n) {
-      const real* gy_n = gy_base + n * out_ch_ * pix;
-      const real* cols_n = pcols + n * cols_rows * pix;
-      std::memset(tile, 0, sizeof(real) * out_ch_ * cols_rows);
-      tensor::gemm::run(tensor::gemm::Variant::NT, out_ch_, pix, cols_rows,
-                        gy_n, cols_n, tile);
-      for (index_t i = 0; i < out_ch_ * cols_rows; ++i) gw[i] += tile[i];
+  runtime::Workspace& ws = runtime::Workspace::tls();
+  runtime::Workspace::Scope scope(ws);
+  // Per-sample weight-gradient tiles, [patch, out_ch] each, folded serially
+  // after the parallel chunks so the sample order of the fold is fixed.
+  real* tiles = ws.alloc(batch * tile_size);
+  runtime::parallel_for(0, batch, chunk_samples(g), [&](index_t n0,
+                                                        index_t n1) {
+    runtime::Workspace& cws = runtime::Workspace::tls();
+    runtime::Workspace::Scope chunk_scope(cws);
+    const index_t rows = (n1 - n0) * pix;
+    real* cols = cws.alloc(rows * patch);
+    real* gyt = cws.alloc(rows * out_ch_);  // grad_out, pixel-major
+    for (index_t n = n0; n < n1; ++n) {
+      im2col_patches(px + n * g.image(), g, cols + (n - n0) * pix * patch);
+      const real* gy_n = gy + n * out_ch_ * pix;
+      real* gyt_n = gyt + (n - n0) * pix * out_ch_;
       for (index_t c = 0; c < out_ch_; ++c) {
-        const real* gy_row = gy_n + c * pix;
-        real s = 0.0;
-        for (index_t p = 0; p < pix; ++p) s += gy_row[p];
-        gb[c] += s;
+        for (index_t p = 0; p < pix; ++p) gyt_n[p * out_ch_ + c] = gy_n[c * pix + p];
       }
     }
-  }
-
-  // Input gradient, parallel over samples: each writes its own slice of the
-  // zero-initialized grad_x, via a per-thread workspace column buffer.
-  tensor::Tensor grad_x({cached_batch_, in_ch_, cached_h_, cached_w_});
-  real* gx_base = grad_x.data().data();
-  const index_t x_size = in_ch_ * cached_h_ * cached_w_;
-  runtime::parallel_for(0, cached_batch_, 1, [&](index_t n0, index_t n1) {
-    runtime::Workspace& ws = runtime::Workspace::tls();
-    runtime::Workspace::Scope scope(ws);
-    real* gcols = ws.alloc(cols_rows * pix);
+    // tile[r, c] = Σ_p cols[p, r]·gy[c, p], ascending p from +0.0: the chain
+    // of the per-sample gy·colsᵀ product.
     for (index_t n = n0; n < n1; ++n) {
-      const real* gy_n = gy_base + n * out_ch_ * pix;
-      std::memset(gcols, 0, sizeof(real) * cols_rows * pix);
-      tensor::gemm::run(tensor::gemm::Variant::TN, cols_rows, out_ch_, pix, pw,
-                        gy_n, gcols);
-      tensor::col2im_add(gcols, in_ch_, cached_h_, cached_w_, k_, k_, stride_,
-                         pad_, gx_base + n * x_size);
+      real* tile = tiles + n * tile_size;
+      std::memset(tile, 0, sizeof(real) * tile_size);
+      tensor::gemm::run(tensor::gemm::Variant::TN, patch, pix, out_ch_,
+                        cols + (n - n0) * pix * patch,
+                        gyt + (n - n0) * pix * out_ch_, tile);
+    }
+    if (!input_grad) return;
+    // The columns are spent; reuse their buffer for the column gradient
+    // gcols[row, r] = Σ_c gy[c, row]·W[c, r], ascending c from +0.0.
+    std::memset(cols, 0, sizeof(real) * rows * patch);
+    tensor::gemm::run(tensor::gemm::Variant::NN, rows, out_ch_, patch, gyt, pw,
+                      cols);
+    for (index_t n = n0; n < n1; ++n) {
+      col2im_patches_add(cols + (n - n0) * pix * patch, g, gx + n * g.image());
     }
   });
+
+  real* gw = weight_.grad.data().data();
+  real* gb = bias_.grad.data().data();
+  for (index_t n = 0; n < batch; ++n) {
+    const real* tile = tiles + n * tile_size;
+    for (index_t c = 0; c < out_ch_; ++c) {
+      real* gw_row = gw + c * patch;
+      for (index_t r = 0; r < patch; ++r) gw_row[r] += tile[r * out_ch_ + c];
+      const real* gy_row = gy + (n * out_ch_ + c) * pix;
+      real s = 0.0;
+      for (index_t p = 0; p < pix; ++p) s += gy_row[p];
+      gb[c] += s;
+    }
+  }
   return grad_x;
 }
 

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "nn/init.h"
+#include "obs/obs.h"
 #include "runtime/workspace.h"
 #include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
@@ -34,12 +35,29 @@ tensor::Tensor Dense::forward(const tensor::Tensor& x, bool /*training*/) {
 }
 
 tensor::Tensor Dense::backward(const tensor::Tensor& grad_out) {
+  return backward_impl(grad_out, /*input_grad=*/true);
+}
+
+void Dense::backward_params(const tensor::Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/false);
+}
+
+tensor::Tensor Dense::backward_impl(const tensor::Tensor& grad_out,
+                                    bool input_grad) {
   OASIS_CHECK_MSG(grad_out.rank() == 2 && grad_out.dim(1) == out_,
                   "Dense backward: bad grad "
                       << tensor::to_string(grad_out.shape()));
   OASIS_CHECK_MSG(grad_out.dim(0) == cached_input_.dim(0),
                   "Dense backward: batch mismatch");
   const index_t batch = grad_out.dim(0);
+  if (obs::kernel_metrics_enabled()) {
+    static obs::Counter& calls = obs::counter("kernel.dense.backward.calls");
+    static obs::Counter& flops = obs::counter("kernel.dense.backward.flops");
+    calls.add(1);
+    // The weight-gradient GEMM, plus the input-gradient GEMM when it runs.
+    flops.add(static_cast<std::uint64_t>((input_grad ? 4 : 2) * batch * in_ *
+                                         out_));
+  }
   // grad_W[o, i] = Σ_b grad_out[b, o] * x[b, i]  — the batch-summed gradient
   // the attacks invert. TN kernel: no transpose copy of grad_out, and the
   // temporary product lives in the per-thread workspace, not the heap.
@@ -55,6 +73,7 @@ tensor::Tensor Dense::backward(const tensor::Tensor& grad_out) {
     for (index_t i = 0; i < out_ * in_; ++i) gw[i] += tile[i];
   }
   bias_.grad += tensor::sum_rows(grad_out);
+  if (!input_grad) return {};
   // grad_x = grad_out · W.
   tensor::Tensor grad_x({batch, in_});
   tensor::gemm::run(tensor::gemm::Variant::NN, batch, out_, in_,

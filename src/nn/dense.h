@@ -17,6 +17,8 @@ class Dense : public Module {
 
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  /// Parameter gradients only: skips the grad_out · W input-gradient GEMM.
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Dense"; }
 
@@ -31,6 +33,11 @@ class Dense : public Module {
   [[nodiscard]] const Parameter& bias() const { return bias_; }
 
  private:
+  /// Accumulates the parameter gradients; returns the input gradient when
+  /// `input_grad` is set, an empty tensor otherwise.
+  tensor::Tensor backward_impl(const tensor::Tensor& grad_out,
+                               bool input_grad);
+
   index_t in_;
   index_t out_;
   Parameter weight_;  // [out, in]

@@ -6,6 +6,9 @@
 //   2. backward(grad_out) must follow the matching forward(); it accumulates
 //      parameter gradients (+=) and returns the gradient w.r.t. the input.
 //   3. Parameter gradients accumulate until zero_grad().
+//   4. backward_params(grad_out) is backward() for callers that discard the
+//      input gradient (a training step): it accumulates the same parameter
+//      gradients, bit for bit, and layers may skip the input-gradient work.
 //
 // Modules are deliberately stateful-per-pass rather than graph-based: the
 // paper's attacks need nothing more than exact batch-summed gradients of a
@@ -36,6 +39,12 @@ class Module {
   /// Backpropagates: accumulates parameter grads, returns input grad.
   /// Must be called after the matching forward().
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
+
+  /// Accumulates the parameter grads backward() would, without returning
+  /// the input grad. The default runs backward() and drops its result.
+  virtual void backward_params(const tensor::Tensor& grad_out) {
+    backward(grad_out);
+  }
 
   /// Trainable parameters (empty for stateless layers). Pointers remain
   /// valid for the lifetime of the module.

@@ -41,6 +41,19 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
   return g;
 }
 
+void Sequential::backward_params(const tensor::Tensor& grad_out) {
+  index_t lowest = 0;
+  while (lowest < modules_.size() && modules_[lowest]->parameters().empty()) {
+    ++lowest;
+  }
+  if (lowest == modules_.size()) return;
+  tensor::Tensor g = grad_out;
+  for (index_t i = modules_.size() - 1; i > lowest; --i) {
+    g = modules_[i]->backward(g);
+  }
+  modules_[lowest]->backward_params(g);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> params;
   for (auto& m : modules_) {

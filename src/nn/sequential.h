@@ -38,6 +38,10 @@ class Sequential : public Module {
 
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  /// Runs backward() only down to the lowest module that has parameters,
+  /// and backward_params() on that one: nothing below it, and no input
+  /// gradient of the whole model, is computed.
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<tensor::Tensor*> buffers() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }

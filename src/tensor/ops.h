@@ -66,8 +66,7 @@ Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
 
 /// Raw-buffer im2col: unrolls a [C, H, W] image at `src` into the
 /// [C*kh*kw, out_h*out_w] matrix at `dst` (every element written, padding
-/// included). The allocation-free hot-loop form Conv2d uses with its
-/// persistent column cache.
+/// included). Channel-major; nn::Conv2d writes its own patch-major columns.
 void im2col_into(const real* src, index_t channels, index_t height,
                  index_t width, index_t kh, index_t kw, index_t stride,
                  index_t pad, real* dst);

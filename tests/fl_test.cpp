@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "fl/aggregation.h"
@@ -18,6 +20,7 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "tensor/ops.h"
+#include "tensor/serialize.h"
 
 namespace oasis::fl {
 namespace {
@@ -109,6 +112,58 @@ TEST(Client, UpdateMatchesDirectGradientComputation) {
     EXPECT_TRUE(tensor::allclose(actual[i], expected[i]));
   }
   EXPECT_NEAR(client.last_loss(), loss.loss, 1e-12);
+}
+
+// handle_round trains with backward_params, which computes no input
+// gradient for the model's lowest parameterized layer. Its upload must be
+// byte-equal to a replay of the same step through the full backward, for
+// every model family the engines federate.
+TEST(Client, BackwardParamsUpdateBytesMatchFullBackwardReplay) {
+  const nn::ImageSpec spec{3, 8, 8};
+  const auto dataset = tiny_dataset(6, 4, 23);
+  const std::vector<std::pair<std::string, ModelFactory>> families{
+      {"mlp",
+       [&] {
+         common::Rng rng(31);
+         return nn::make_mlp(spec, {16}, 4, rng);
+       }},
+      {"mini_convnet",
+       [&] {
+         common::Rng rng(32);
+         return nn::make_mini_convnet(spec, 4, rng, /*width=*/4);
+       }},
+      {"linear",
+       [&] {
+         common::Rng rng(33);
+         return nn::make_linear_model(spec, 4, rng);
+       }},
+      {"attack_host", [&] {
+         common::Rng rng(34);
+         return nn::make_attack_host(spec, 24, 4, rng);
+       }}};
+  for (const auto& [name, factory] : families) {
+    SCOPED_TRACE(name);
+    Client client(2, dataset, factory, /*batch_size=*/5,
+                  std::make_shared<IdentityPreprocessor>(), common::Rng(808));
+    Server server(factory(), 0.1);
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      server.begin_round();
+      const GlobalModelMessage msg = server.dispatch_to(2);
+      const std::vector<ClientUpdateMessage> updates{client.handle_round(msg)};
+
+      auto replica = factory();
+      nn::deserialize_state(*replica, msg.model_state);
+      const data::Batch& batch = client.last_raw_batch();
+      replica->zero_grad();
+      const auto logits = replica->forward(batch.images, true);
+      replica->backward(
+          nn::SoftmaxCrossEntropy().compute(logits, batch.labels).grad_logits);
+      EXPECT_EQ(updates[0].gradients,
+                tensor::serialize_tensors(nn::snapshot_gradients(*replica)))
+          << "round " << round;
+      server.finish_round(updates);
+    }
+  }
 }
 
 TEST(Client, UniqueLabelSamplingYieldsDistinctLabels) {

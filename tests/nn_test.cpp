@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -18,6 +24,7 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -89,6 +96,37 @@ TEST(Activations, ReluGradient) {
   EXPECT_LT(testutil::check_gradients(layer, x, rng), kGradTol);
 }
 
+// ReLU caches a byte mask keep = !(x <= 0) instead of its input. NaN keeps
+// its gradient and -0.0 drops it, exactly as tensor::relu_backward decides,
+// and the forward output is tensor::relu's, bit for bit.
+TEST(Activations, ReluMaskMatchesReluBackwardOnSpecialValues) {
+  using limits = std::numeric_limits<real>;
+  const std::vector<real> values{limits::quiet_NaN(), -limits::quiet_NaN(),
+                                 0.0, -0.0, limits::denorm_min(),
+                                 -limits::denorm_min(), limits::min(),
+                                 -limits::min(), limits::infinity(),
+                                 -limits::infinity(), 2.5, -2.5};
+  const tensor::Tensor x({3, 4}, values);
+  tensor::Tensor gy({3, 4});
+  for (index_t i = 0; i < gy.size(); ++i) gy[i] = 1.0 + static_cast<real>(i);
+  ReLU relu;
+  const tensor::Tensor y = relu.forward(x, true);
+  const tensor::Tensor y_ref = tensor::relu(x);
+  EXPECT_EQ(std::memcmp(y.data().data(), y_ref.data().data(),
+                        sizeof(real) * y.size()),
+            0);
+  const tensor::Tensor g = relu.backward(gy);
+  const tensor::Tensor g_ref = tensor::relu_backward(gy, x);
+  ASSERT_EQ(g.shape(), g_ref.shape());
+  EXPECT_EQ(std::memcmp(g.data().data(), g_ref.data().data(),
+                        sizeof(real) * g.size()),
+            0);
+  EXPECT_EQ(g[0], gy[0]);     // NaN passes the gradient
+  EXPECT_EQ(g[3], 0.0);       // -0.0 does not
+  EXPECT_EQ(g[4], gy[4]);     // a positive denormal does
+  EXPECT_THROW(relu.backward(tensor::Tensor({4, 3})), Error);
+}
+
 TEST(Activations, TanhGradient) {
   common::Rng rng(6);
   Tanh layer;
@@ -128,6 +166,36 @@ TEST(Conv2d, StridedGradients) {
   Conv2d conv(1, 2, 3, 2, 1, rng);
   tensor::Tensor x = tensor::Tensor::randn({2, 1, 6, 6}, rng);
   EXPECT_LT(testutil::check_gradients(conv, x, rng), kGradTol);
+}
+
+// kernel.{conv2d,dense}.backward.flops count only the GEMMs that ran:
+// backward_params skips the input-gradient GEMM, so it counts half.
+TEST(Conv2d, BackwardFlopCountersCountOnlyTheGemmsThatRan) {
+  obs::set_kernel_metrics(true);
+  common::Rng rng(12);
+  Conv2d conv(2, 3, 3, 1, 1, rng);  // 2·3·(2·3·3)·(5·5) flops per GEMM
+  Dense dense(6, 4, rng);            // 2·3·6·4 flops per GEMM
+  const tensor::Tensor x({3, 2, 5, 5});
+  const tensor::Tensor xd({3, 6});
+  obs::Counter& conv_flops = obs::counter("kernel.conv2d.backward.flops");
+  obs::Counter& dense_flops = obs::counter("kernel.dense.backward.flops");
+  const std::uint64_t conv_gemm = 2 * 3 * 3 * 18 * 25, dense_gemm = 2 * 3 * 6 * 4;
+  for (const bool params_only : {false, true}) {
+    const std::uint64_t c0 = conv_flops.value(), d0 = dense_flops.value();
+    const tensor::Tensor gy(conv.forward(x, true).shape());
+    const tensor::Tensor gyd(dense.forward(xd, true).shape());
+    if (params_only) {
+      conv.backward_params(gy);
+      dense.backward_params(gyd);
+    } else {
+      conv.backward(gy);
+      dense.backward(gyd);
+    }
+    const std::uint64_t gemms = params_only ? 1 : 2;
+    EXPECT_EQ(conv_flops.value() - c0, gemms * conv_gemm);
+    EXPECT_EQ(dense_flops.value() - d0, gemms * dense_gemm);
+  }
+  obs::set_kernel_metrics(false);
 }
 
 TEST(Pooling, MaxPoolForwardAndGradient) {
@@ -280,6 +348,66 @@ TEST(Sequential, ForwardBackwardComposition) {
   tensor::Tensor x = tensor::Tensor::randn({4, 5}, rng);
   EXPECT_LT(testutil::check_gradients(net, x, rng), kGradTol);
   EXPECT_EQ(net.parameters().size(), 4u);
+}
+
+// backward_params stops at the lowest parameterized module and skips its
+// input gradient; the parameter gradients it accumulates must be byte-equal
+// to backward()'s, also when a second pass accumulates onto the first.
+TEST(Sequential, BackwardParamsMatchesBackwardBitForBit) {
+  const ImageSpec spec{3, 12, 12};
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<Sequential>()>>>
+      families{{"mlp",
+                [&] {
+                  common::Rng rng(41);
+                  return make_mlp(spec, {32, 16}, 5, rng);
+                }},
+               {"mini_convnet",
+                [&] {
+                  common::Rng rng(42);
+                  return make_mini_convnet(spec, 5, rng, /*width=*/4);
+                }},
+               {"linear",
+                [&] {
+                  common::Rng rng(43);
+                  return make_linear_model(spec, 5, rng);
+                }},
+               {"attack_host", [&] {
+                  common::Rng rng(44);
+                  return make_attack_host(spec, 24, 5, rng);
+                }}};
+  const SoftmaxCrossEntropy loss_fn;
+  for (const auto& [name, make] : families) {
+    SCOPED_TRACE(name);
+    auto full = make();
+    auto params_only = make();
+    common::Rng data_rng(45);
+    for (int pass = 0; pass < 2; ++pass) {
+      tensor::Tensor x({7, 3, 12, 12});
+      for (auto& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
+      const std::vector<index_t> labels{0, 1, 2, 3, 4, 0, 1};
+      const auto grad = [&](Sequential& m) {
+        return loss_fn.compute(m.forward(x, true), labels).grad_logits;
+      };
+      full->backward(grad(*full));
+      params_only->backward_params(grad(*params_only));
+    }
+    const auto a = full->parameters();
+    const auto b = params_only->parameters();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i]->grad.shape(), b[i]->grad.shape());
+      EXPECT_EQ(std::memcmp(a[i]->grad.data().data(), b[i]->grad.data().data(),
+                            sizeof(real) * a[i]->grad.size()),
+                0)
+          << "parameter " << i;
+    }
+  }
+  // A model without parameters has nothing to accumulate.
+  Sequential stateless;
+  stateless.emplace<ReLU>();
+  stateless.forward(tensor::Tensor({2, 3}), true);
+  EXPECT_NO_THROW(stateless.backward_params(tensor::Tensor({2, 3})));
 }
 
 TEST(Sequential, InsertPlacesModuleInOrder) {
