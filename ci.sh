@@ -13,8 +13,8 @@
 # robust-aggregation suites under ASan/UBSan and the Byzantine chaos suite
 # under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
-# (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
-# differential).
+# (runtime pool + FL rounds + chaos + crash/resume + the parallel CAH
+# calibration kernel + the 8-thread sharded differential).
 #
 # Every stage configures with -DOASIS_WERROR=ON: the tree builds
 # warning-free under each build type and sanitizer, and a new warning fails
@@ -26,7 +26,8 @@
 #
 #   ./ci.sh            # all default stages
 #   ./ci.sh release    # Release + full ctest, then compile perfbench/
-#   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
+#   ./ci.sh asan       # ASan build + unit/golden/kernel labels, plus the
+#                      # CAH calibration and last-round capture cases
 #   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label and
 #                      # the Conv2d golden fixture under each forced
 #                      # OASIS_GEMM_ISA and under OASIS_NAIVE_GEMM=1 with
@@ -73,6 +74,11 @@ run_asan() {
   cmake --build build-asan -j "${jobs}"
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" \
     -L 'unit|golden|kernel'
+  # Two unit-scoped cases in binaries labelled otherwise (one label per
+  # binary): the CAH calibration kernel's ragged tiles and the dishonest
+  # server's last-round capture buffers.
+  ./build-asan/tests/attack_test --gtest_filter='CahCalibration.*'
+  ./build-asan/tests/fl_test --gtest_filter='MaliciousServer.*'
 }
 
 run_kernel() {
@@ -215,13 +221,17 @@ run_defense() {
 run_tsan() {
   # crash_test rides along: its 8-thread shards resume checkpoints into a
   # freshly spawned pool, exactly where a racy restore would surface.
-  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test)"
+  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test + CAH calibration)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_WERROR=ON -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target runtime_test fl_test     chaos_test crash_test
   ./build-tsan/tests/runtime_test
   ./build-tsan/tests/fl_test
   ./build-tsan/tests/chaos_test
   ./build-tsan/tests/crash_test --gtest_filter='*Threads8*:*ReferencesAgree*'
+  # The CAH calibration kernel: parallel row tiles write disjoint rows of
+  # one output buffer and share one read-only pixel block.
+  cmake --build build-tsan -j "${jobs}" --target attack_test
+  ./build-tsan/tests/attack_test --gtest_filter='CahCalibration.*'
   # The 8-thread sharded differential: parallel client training inside a
   # shard must stay race-free while folding stays serial.
   cmake --build build-tsan -j "${jobs}" --target shard_test

@@ -22,9 +22,13 @@ CahAttack::CahAttack(nn::ImageSpec spec, index_t neurons, real target_rate,
   thresholds_.reserve(neurons_);
 
   if (mode_ == CahWeightMode::kQuantileCalibrated) {
+    // All n × |aux| measurements in one pass; row i's are a contiguous slice.
+    const auto values = measure_rows(aux, rows_);
+    const index_t m = aux.size();
     for (index_t i = 0; i < neurons_; ++i) {
-      const auto values = measure_dataset(aux, rows_.row(i));
-      thresholds_.push_back(empirical_quantile(values, 1.0 - target_rate_));
+      const real* first = values.data() + i * m;
+      thresholds_.push_back(
+          empirical_quantile({first, first + m}, 1.0 - target_rate_));
     }
     return;
   }

@@ -18,6 +18,16 @@ namespace oasis::attack {
 std::vector<real> measure_dataset(const data::InMemoryDataset& aux,
                                   const tensor::Tensor& w);
 
+/// Evaluates every row of `rows` [n, d] against every image of `aux` in one
+/// cache-blocked, parallel pass; returns the n × |aux| values row-major, so
+/// row i's values are the slice [i·|aux|, (i+1)·|aux|). Each value is one
+/// ascending chain s = s + fl(w_j·x_j) from s = 0 with no contraction
+/// (calibration_kernel.cpp), which is what measure_dataset compiles to at
+/// -O3 for d divisible by 4 (DESIGN.md §5m); the result does not depend on
+/// the thread count.
+std::vector<real> measure_rows(const data::InMemoryDataset& aux,
+                               const tensor::Tensor& rows);
+
 /// Mean-brightness measurement values (w = 1/d) — RTF's scalar statistic.
 std::vector<real> mean_brightness(const data::InMemoryDataset& aux);
 

@@ -116,6 +116,19 @@ ClientUpdateMessage Client::handle_round(
     }
   }
 
+  ClientUpdateMessage update;
+  update.round = msg.round;
+  update.client_id = id_;
+  update.num_examples = examples;
+  if (local_steps_ == 1 && defense == nullptr) {
+    // Nothing rewrites the batch gradients: encode them where backward left
+    // them, with no snapshot copy in between.
+    std::vector<const tensor::Tensor*> grads;
+    for (const auto* p : model_->parameters()) grads.push_back(&p->grad);
+    update.gradients = tensor::serialize_tensors(grads);
+    return update;
+  }
+
   std::vector<tensor::Tensor> gradients;
   if (local_steps_ > 1) {
     // Pseudo-gradient (w_received − w_local) / lr, FedAvg-compatible.
@@ -133,11 +146,6 @@ ClientUpdateMessage Client::handle_round(
   if (defense != nullptr) {
     defense->apply(gradients, DefenseContext{msg.round, id_, cohort});
   }
-
-  ClientUpdateMessage update;
-  update.round = msg.round;
-  update.client_id = id_;
-  update.num_examples = examples;
   update.gradients = tensor::serialize_tensors(gradients);
   return update;
 }

@@ -1,5 +1,6 @@
 #include "fl/server.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "fl/round_fold.h"
@@ -194,7 +195,10 @@ GlobalModelMessage MaliciousServer::begin_round() {
 
 RoundOutcome MaliciousServer::finish_round(
     std::span<const ClientUpdateMessage> updates, index_t min_valid) {
-  captured_.insert(captured_.end(), updates.begin(), updates.end());
+  // Assigned element by element, so from the second round on each payload
+  // is copied into the buffer the previous round's payload left behind.
+  captured_.resize(updates.size());
+  std::copy(updates.begin(), updates.end(), captured_.begin());
   return Server::finish_round(updates, min_valid);
 }
 

@@ -186,8 +186,10 @@ class Server {
 using ModelManipulator = std::function<void(nn::Sequential&)>;
 
 /// Dishonest server: applies a manipulation to (a copy of the state of) the
-/// global model before dispatch and records every client update it receives
-/// so the attack can invert the gradients offline.
+/// global model before dispatch and keeps the last round's updates, as they
+/// arrived, so the attack can invert the gradients offline. Only the last
+/// round is kept: every attack reads that round's updates right after it,
+/// and a 25 MB host model makes each round's payloads large.
 ///
 /// It still performs normal FedAvg so training proceeds and the attack stays
 /// covert — matching the paper's "modification should be minimal to avoid
@@ -202,7 +204,9 @@ class MaliciousServer : public Server {
   RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
                             index_t min_valid) override;
 
-  /// All updates captured so far (most recent round last).
+  /// The last round's updates, in the order finish_round received them
+  /// (also when that round was aborted). Each round replaces the previous
+  /// one's.
   [[nodiscard]] const std::vector<ClientUpdateMessage>& captured() const {
     return captured_;
   }

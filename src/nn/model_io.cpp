@@ -1,30 +1,43 @@
 #include "nn/model_io.h"
 
 namespace oasis::nn {
+namespace {
+
+/// The model's state tensors in snapshot order: every parameter value, then
+/// every buffer.
+std::vector<tensor::Tensor*> state_tensors(Module& model) {
+  std::vector<tensor::Tensor*> state;
+  for (auto* p : model.parameters()) state.push_back(&p->value);
+  for (auto* b : model.buffers()) state.push_back(b);
+  return state;
+}
+
+}  // namespace
 
 std::vector<tensor::Tensor> snapshot_state(Module& model) {
   std::vector<tensor::Tensor> state;
-  for (const auto* p : model.parameters()) state.push_back(p->value);
-  for (const auto* b : model.buffers()) state.push_back(*b);
+  for (const auto* t : state_tensors(model)) state.push_back(*t);
   return state;
 }
 
 void load_state(Module& model, const std::vector<tensor::Tensor>& state) {
-  auto params = model.parameters();
-  auto buffers = model.buffers();
-  OASIS_CHECK_MSG(state.size() == params.size() + buffers.size(),
-                  "load_state: " << state.size() << " tensors for "
-                                 << params.size() << " params + "
-                                 << buffers.size() << " buffers");
-  std::size_t i = 0;
-  for (auto* p : params) {
-    tensor::check_same_shape(p->value.shape(), state[i].shape(), "load_state");
-    p->value = state[i++];
+  const auto targets = state_tensors(model);
+  if (state.size() != targets.size()) {
+    throw SerializationError("load_state: " + std::to_string(state.size()) +
+                             " tensors for " + std::to_string(targets.size()) +
+                             " state tensors");
   }
-  for (auto* b : buffers) {
-    tensor::check_same_shape(b->shape(), state[i].shape(), "load_state");
-    *b = state[i++];
+  // Every shape is checked before the first copy, so a mismatch anywhere
+  // leaves the model as it was.
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (state[i].shape() != targets[i]->shape()) {
+      throw SerializationError(
+          "load_state: tensor " + std::to_string(i) + " is " +
+          tensor::to_string(state[i].shape()) + ", model has " +
+          tensor::to_string(targets[i]->shape()));
+    }
   }
+  for (std::size_t i = 0; i < state.size(); ++i) *targets[i] = state[i];
 }
 
 std::vector<tensor::Tensor> snapshot_gradients(Module& model) {
@@ -34,11 +47,13 @@ std::vector<tensor::Tensor> snapshot_gradients(Module& model) {
 }
 
 tensor::ByteBuffer serialize_state(Module& model) {
-  return tensor::serialize_tensors(snapshot_state(model));
+  const auto state = state_tensors(model);
+  return tensor::serialize_tensors(
+      std::vector<const tensor::Tensor*>(state.begin(), state.end()));
 }
 
 void deserialize_state(Module& model, const tensor::ByteBuffer& bytes) {
-  load_state(model, tensor::deserialize_tensors(bytes));
+  tensor::deserialize_tensors_into(bytes, state_tensors(model));
 }
 
 }  // namespace oasis::nn

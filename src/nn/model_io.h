@@ -11,13 +11,19 @@ namespace oasis::nn {
 std::vector<tensor::Tensor> snapshot_state(Module& model);
 
 /// Loads a snapshot produced by snapshot_state into a structurally identical
-/// model. Throws Error on count/shape mismatch.
+/// model. Throws SerializationError on a count or shape mismatch, before any
+/// tensor of the model is written.
 void load_state(Module& model, const std::vector<tensor::Tensor>& state);
 
 /// Copies all parameter *gradients*, in module order (an FL client update).
 std::vector<tensor::Tensor> snapshot_gradients(Module& model);
 
-/// Serialized forms (wire format of the FL simulator).
+/// Serialized forms (wire format of the FL simulator). Both copy straight
+/// between the model's tensors and the bytes: serialize_state equals
+/// serialize_tensors(snapshot_state(model)) byte for byte, and
+/// deserialize_state verifies the CRC32C and every header against the model
+/// before it writes anything (ChecksumError / SerializationError otherwise,
+/// with the model untouched).
 tensor::ByteBuffer serialize_state(Module& model);
 void deserialize_state(Module& model, const tensor::ByteBuffer& bytes);
 

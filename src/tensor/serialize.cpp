@@ -27,11 +27,11 @@ ByteReader payload_reader(Bytes bytes) {
 
 /// serialize_tensors' exact output size: count, each tensor's rank,
 /// extents and values, and the trailer.
-std::size_t serialized_size(const std::vector<Tensor>& tensors) {
+std::size_t serialized_size(std::span<const Tensor* const> tensors) {
   std::size_t n = sizeof(std::uint64_t) + kCrcBytes;
-  for (const auto& t : tensors) {
-    n += sizeof(std::uint64_t) * (1 + t.rank()) +
-         t.data().size() * sizeof(real);
+  for (const Tensor* t : tensors) {
+    n += sizeof(std::uint64_t) * (1 + t->rank()) +
+         t->data().size() * sizeof(real);
   }
   return n;
 }
@@ -126,15 +126,22 @@ Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
   return t;
 }
 
-ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
+ByteBuffer serialize_tensors(std::span<const Tensor* const> tensors) {
   // Sized up front: grown by appends, the trailer would reallocate and copy
   // the whole payload once the last tensor's values fill the capacity.
   ByteWriter w;
   w.reserve(serialized_size(tensors));
   w.u64(tensors.size());
-  for (const auto& t : tensors) write(t, w);
+  for (const Tensor* t : tensors) write(*t, w);
   w.u32(oasis::common::crc32c(w.bytes().data(), w.size()));
   return w.take();
+}
+
+ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
+  std::vector<const Tensor*> list;
+  list.reserve(tensors.size());
+  for (const auto& t : tensors) list.push_back(&t);
+  return serialize_tensors(list);
 }
 
 void reseal_tensors(ByteBuffer& buf) {
@@ -152,6 +159,33 @@ std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
   for (std::size_t i = 0; i < count; ++i) tensors.push_back(read(r));
   r.expect_end();
   return tensors;
+}
+
+void deserialize_tensors_into(const ByteBuffer& in,
+                              std::span<Tensor* const> targets) {
+  ByteReader r = verified_payload(in);
+  const std::size_t count = read_count(r);
+  if (count != targets.size()) {
+    r.fail(std::to_string(count) + " tensors for " +
+           std::to_string(targets.size()) + " targets");
+  }
+  // Every header is checked before the first value is copied, so a payload
+  // that fails anywhere leaves every target as it was.
+  std::vector<Bytes> values(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Shape shape = read_header(r, values[i]);
+    if (shape != targets[i]->shape()) {
+      r.fail("tensor " + std::to_string(i) + " is " + to_string(shape) +
+             ", target is " + to_string(targets[i]->shape()));
+    }
+  }
+  r.expect_end();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!values[i].empty()) {
+      std::memcpy(targets[i]->data().data(), values[i].data(),
+                  values[i].size());
+    }
+  }
 }
 
 TensorScan scan_tensors(const ByteBuffer& in) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -41,12 +42,24 @@ void write_tensor(const Tensor& t, ByteBuffer& out);
 /// Throws SerializationError on truncated/malformed input.
 Tensor read_tensor(const ByteBuffer& in, std::size_t& offset);
 
-/// Serializes a list of tensors with a count header and a trailing CRC32C.
+/// Serializes a list of tensors with a count header and a trailing CRC32C,
+/// reading each value straight from the tensor it points to.
+ByteBuffer serialize_tensors(std::span<const Tensor* const> tensors);
+
+/// The same bytes for a list of tensors held by value.
 ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors);
 
 /// Inverse of serialize_tensors. Throws ChecksumError when the CRC32C
 /// trailer does not match the payload, SerializationError on malformed input.
 std::vector<Tensor> deserialize_tensors(const ByteBuffer& in);
+
+/// Inverse of serialize_tensors into existing tensors, with no tensor
+/// allocated on the way: verifies the CRC32C (ChecksumError), walks every
+/// header and checks the count and each shape against `targets`
+/// (SerializationError), and only then copies the values. A payload that
+/// fails any check leaves every target untouched.
+void deserialize_tensors_into(const ByteBuffer& in,
+                              std::span<Tensor* const> targets);
 
 /// Recomputes and overwrites the CRC32C trailer of a serialize_tensors()
 /// buffer in place. Test/fault-injection helper: lets a mutated payload keep

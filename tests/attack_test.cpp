@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "attack/attack.h"
@@ -22,6 +23,7 @@
 #include "nn/loss.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
+#include "runtime/parallel.h"
 #include "tensor/ops.h"
 
 namespace oasis::attack {
@@ -277,6 +279,79 @@ TEST(Cah, RejectsBadActivationRate) {
   auto aux = small_dataset(1, 15);
   EXPECT_THROW(CahAttack({3, 12, 12}, 8, 0.0, aux), Error);
   EXPECT_THROW(CahAttack({3, 12, 12}, 8, 1.0, aux), Error);
+}
+
+// The per-row calibration loop CahAttack ran before measure_rows, kept as
+// the oracle: measure_dataset(aux, rows.row(i)) for every row i. At -O3 GCC
+// compiles its `s += w[j] * img[j]` to vector multiplies followed by
+// in-order scalar adds: the chain s = s + fl(w_j·x_j) from s = 0. The
+// oracle spells that out, products first, so no build of this test (any -O
+// level, contraction on or off) can fuse a multiply into an add.
+//
+// That reading holds for d divisible by 4. For other d the -O3 loop's
+// scalar remainder contracts its last d mod 4 terms to FMAs, which
+// measure_rows does not. No CAH call site in the repo uses such a d: every
+// image there is 3×H×W with H and W even (8 to 64 pixels).
+std::vector<real> per_row_oracle(const data::InMemoryDataset& aux,
+                                 const tensor::Tensor& rows) {
+  const index_t n = rows.dim(0), d = rows.dim(1);
+  std::vector<real> out, products(d);
+  for (index_t i = 0; i < n; ++i) {
+    const auto w = rows.data().subspan(i * d, d);
+    for (index_t k = 0; k < aux.size(); ++k) {
+      const auto x = aux.at(k).image.data();
+      for (index_t j = 0; j < d; ++j) products[j] = w[j] * x[j];
+      real s = 0.0;
+      for (index_t j = 0; j < d; ++j) s += products[j];
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+TEST(CahCalibration, BlockedKernelMatchesPerRowLoopBitForBit) {
+  // 61 trap rows and 7 aux images leave ragged 4-row × 8-image tiles on
+  // both axes; 3×64×64 spans several 512-pixel cache blocks.
+  const index_t n = 61;
+  const real rate = 0.25;
+  for (const index_t size : {10, 12, 64}) {
+    const auto aux = small_dataset(1, 70 + size, size, /*classes=*/7);
+    ASSERT_EQ(aux.size(), 7u);
+    const index_t m = aux.size();
+    const nn::ImageSpec spec{3, size, size};
+    for (const index_t threads : {1, 4}) {
+      SCOPED_TRACE("3x" + std::to_string(size) + "x" + std::to_string(size) +
+                   ", " + std::to_string(threads) + " threads");
+      runtime::set_num_threads(threads);
+      CahAttack atk(spec, n, rate, aux);
+      common::Rng rng(71);
+      auto host = nn::make_attack_host(spec, n, 10, rng);
+      atk.implant(*host);
+      auto* dense =
+          dynamic_cast<nn::Dense*>(&host->at(nn::kMaliciousDenseIndex));
+      ASSERT_NE(dense, nullptr);
+      const tensor::Tensor& rows = dense->weight().value;
+
+      const auto expected = per_row_oracle(aux, rows);
+      const auto values = measure_rows(aux, rows);
+      ASSERT_EQ(values.size(), n * m);
+      EXPECT_EQ(std::memcmp(values.data(), expected.data(),
+                            values.size() * sizeof(real)),
+                0);
+      // The implanted bias is −τ_i, τ_i the (1 − ρ) quantile of row i.
+      std::vector<real> bias(n);
+      for (index_t i = 0; i < n; ++i) {
+        const real* first = expected.data() + i * m;
+        bias[i] = -empirical_quantile({first, first + m}, 1.0 - rate);
+      }
+      EXPECT_EQ(std::memcmp(dense->bias().value.data().data(), bias.data(),
+                            n * sizeof(real)),
+                0);
+    }
+  }
+  runtime::set_num_threads(0);
+  EXPECT_THROW(measure_rows(small_dataset(1, 9), tensor::Tensor({2, 5})),
+               Error);
 }
 
 TEST(Linear, UniqueLabelBatchReconstructsAllImages) {

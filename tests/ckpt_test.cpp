@@ -17,6 +17,7 @@
 
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
+#include "ckpt/engine_codec.h"
 #include "ckpt/io.h"
 #include "ckpt/manager.h"
 #include "common/crc32c.h"
@@ -530,6 +531,67 @@ TEST(SimulationCkpt, RestoreIntoMismatchedFederationIsRejectedUntouched) {
   }
   EXPECT_EQ(nn::serialize_state(other.server().global_model()), before);
   EXPECT_EQ(other.server().round(), 1u);
+}
+
+TEST(ModelLoad, ForeignStateIsRefusedTypedWithTheModelUntouched) {
+  // Two MLPs that agree on their first Dense (192→16) and differ on the
+  // second (16→4 vs 16→5): the payload passes its CRC and its first two
+  // tensors fit, so only a load that validates every header before copying
+  // leaves the leading parameters alone. A deeper MLP adds a count mismatch.
+  const nn::ImageSpec spec{3, 8, 8};
+  common::Rng sender_rng(51), deeper_rng(52);
+  auto sender = nn::make_mlp(spec, {16}, 4, sender_rng);
+  auto deeper = nn::make_mlp(spec, {16, 16}, 5, deeper_rng);
+  const ByteBuffer foreign = nn::serialize_state(*sender);
+
+  nn::Sequential* live = nullptr;  // the model the factory built last
+  const fl::ModelFactory factory = [&live, spec] {
+    common::Rng rng(53);
+    auto model = nn::make_mlp(spec, {16}, 5, rng);
+    live = model.get();
+    return model;
+  };
+  auto model = factory();
+  const ByteBuffer before = nn::serialize_state(*model);
+  for (auto* payload : {&*sender, &*deeper}) {
+    EXPECT_THROW(nn::deserialize_state(*model, nn::serialize_state(*payload)),
+                 SerializationError);
+    EXPECT_THROW(nn::load_state(*model, nn::snapshot_state(*payload)),
+                 SerializationError);
+    EXPECT_EQ(nn::serialize_state(*model), before);
+  }
+
+  // The client documents SerializationError for a dispatch that does not
+  // fit its replica, and must not keep half of it.
+  data::SynthConfig cfg;
+  cfg.num_classes = 5;
+  cfg.height = cfg.width = 8;
+  cfg.train_per_class = 1;
+  cfg.test_per_class = 0;
+  cfg.seed = 54;
+  fl::Client client(0, data::generate(cfg).train, factory, 2,
+                    std::make_shared<fl::IdentityPreprocessor>(),
+                    common::Rng(55));
+  const ByteBuffer client_before = nn::serialize_state(*live);
+  EXPECT_THROW(client.handle_round(fl::GlobalModelMessage{0, foreign}),
+               SerializationError);
+  EXPECT_EQ(nn::serialize_state(*live), client_before);
+
+  // A snapshot's model section passed its CRC, so the same refusal is an
+  // architecture mismatch there, raised before the engine state is applied.
+  const SnapshotSchema schema{"meta", false};
+  SnapshotBuilder builder = begin_snapshot(schema, SectionWriter{}, *sender);
+  const Snapshot snap = Snapshot::parse(finish_snapshot(schema, builder));
+  SnapshotReader reader(schema, snap);
+  bool engine_applied = false;
+  try {
+    reader.apply(*model, [&] { engine_applied = true; });
+    FAIL() << "foreign model section accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), Reason::kStateMismatch);
+  }
+  EXPECT_FALSE(engine_applied);
+  EXPECT_EQ(nn::serialize_state(*model), before);
 }
 
 TEST(SimulationCkpt, CorruptedSimulationSnapshotsAreAllTyped) {

@@ -244,6 +244,45 @@ TEST(MaliciousServer, ManipulatesDispatchAndCapturesUpdates) {
   EXPECT_EQ(server.captured()[0].client_id, 0u);
 }
 
+TEST(MaliciousServer, KeepsExactlyTheLastRoundsUpdates) {
+  // Three rounds with two clients. After each, captured() holds that round's
+  // updates and nothing older, byte-equal to what the clients sent and in
+  // delivery order, also when the round was aborted for want of a quorum.
+  MaliciousServer server(tiny_factory(32)(), 0.1, [](nn::Sequential&) {});
+  const auto shards = tiny_dataset(4, 4, 15).shard(2);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    clients.push_back(std::make_unique<Client>(
+        id, shards[id], tiny_factory(32), 2,
+        std::make_shared<IdentityPreprocessor>(), common::Rng(40 + id)));
+  }
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const bool aborted = round == 1;
+    const GlobalModelMessage msg = server.begin_round();
+    std::vector<ClientUpdateMessage> updates;
+    for (const std::size_t c : aborted ? std::vector<std::size_t>{1, 0}
+                                       : std::vector<std::size_t>{0, 1}) {
+      updates.push_back(clients[c]->handle_round(msg));
+    }
+    if (aborted) {
+      EXPECT_THROW(server.finish_round(updates, /*min_valid=*/3),
+                   QuorumError);
+    } else {
+      EXPECT_TRUE(server.finish_round(updates).applied);
+    }
+    ASSERT_EQ(server.captured().size(), updates.size());
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      const ClientUpdateMessage& got = server.captured()[i];
+      EXPECT_EQ(got.round, msg.round);
+      EXPECT_EQ(got.round, updates[i].round);
+      EXPECT_EQ(got.client_id, updates[i].client_id);
+      EXPECT_EQ(got.num_examples, updates[i].num_examples);
+      EXPECT_EQ(got.gradients, updates[i].gradients);
+    }
+  }
+}
+
 TEST(Simulation, RunsRoundsAndSelectsClients) {
   auto dataset = tiny_dataset(6, 4, 15);
   const auto shards = dataset.shard(3);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,13 +568,52 @@ TEST(ModelIo, SerializedStateRoundTrip) {
   EXPECT_TRUE(tensor::allclose(b->forward(x, false), a->forward(x, false)));
 }
 
+TEST(ModelIo, StateCodecMatchesTheSnapshotEncodingByteForByte) {
+  // Every family in models.h. MiniResNet's BatchNorm running statistics are
+  // buffers(); a training pass moves them off their init first, so the
+  // buffers' bytes are checked as well as the parameters'.
+  const ImageSpec spec{3, 8, 8};
+  const auto families = [&spec](common::Rng& rng) {
+    std::vector<std::unique_ptr<Sequential>> models;
+    models.push_back(make_mlp(spec, {16, 8}, 4, rng));
+    models.push_back(make_mini_convnet(spec, 4, rng, 4));
+    models.push_back(make_mini_resnet(spec, 4, rng, 4));
+    models.push_back(make_linear_model(spec, 4, rng));
+    models.push_back(make_attack_host(spec, 12, 4, rng));
+    return models;
+  };
+  common::Rng rng_a(34), rng_b(35);
+  auto sources = families(rng_a);
+  auto targets = families(rng_b);
+  ASSERT_FALSE(sources[2]->buffers().empty());
+  const tensor::Tensor x = tensor::Tensor::randn({2, 3, 8, 8}, rng_a);
+  for (std::size_t f = 0; f < sources.size(); ++f) {
+    SCOPED_TRACE("family " + std::to_string(f));
+    (void)sources[f]->forward(x, /*training=*/true);
+    const tensor::ByteBuffer bytes = serialize_state(*sources[f]);
+    EXPECT_EQ(bytes, tensor::serialize_tensors(snapshot_state(*sources[f])));
+
+    deserialize_state(*targets[f], bytes);
+    const auto want = snapshot_state(*sources[f]);
+    const auto got = snapshot_state(*targets[f]);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].shape(), want[i].shape());
+      EXPECT_EQ(std::memcmp(got[i].data().data(), want[i].data().data(),
+                            want[i].size() * sizeof(real)),
+                0)
+          << "state tensor " << i;
+    }
+  }
+}
+
 TEST(ModelIo, LoadStateRejectsMismatch) {
   common::Rng rng(31);
   const ImageSpec spec{3, 8, 8};
   auto a = make_mlp(spec, {16}, 4, rng);
   auto state = snapshot_state(*a);
   state.pop_back();
-  EXPECT_THROW(load_state(*a, state), Error);
+  EXPECT_THROW(load_state(*a, state), SerializationError);
 }
 
 TEST(Models, AttackHostShapes) {
